@@ -78,6 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-states", type=int, default=2000)
     p_check.add_argument("--max-depth", type=int, default=64)
     p_check.add_argument("--game-depth", type=int, default=6)
+    p_check.add_argument(
+        "--tau-bound",
+        type=int,
+        help="silent steps a defender closure may take in the bounded games (default: max(game depth, 4))",
+    )
     p_check.add_argument("--inputs-family", help="comma-separated closed terms")
     p_check.add_argument("--contexts-family", help="comma-separated terms with hole variable X")
     p_check.add_argument("--json", action="store_true")
@@ -179,7 +184,7 @@ def _cmd_check(args) -> int:
             else:
                 contexts = base.contexts
             fam = TestFamilies(tuple(inputs), contexts, base.size_bound)
-        verdict = context_game(p, q, kind.split("-", 1)[1], args.game_depth, fam)
+        verdict = context_game(p, q, kind.split("-", 1)[1], args.game_depth, fam, args.tau_bound)
         payload = verdict.to_json()
         payload["stats"]["millis"] = int((time.perf_counter() - started) * 1000)
         if args.json:
@@ -190,7 +195,7 @@ def _cmd_check(args) -> int:
     if kind != "sc" and ("hoccsm" in (dp, dq)):
         print(f"--equiv {kind} is first-order only; use context-strong/context-weak", file=sys.stderr)
         return EXIT_USAGE
-    verdict = decide(p, q, kind, Bounds(args.max_states, args.max_depth), args.game_depth)
+    verdict = decide(p, q, kind, Bounds(args.max_states, args.max_depth), args.game_depth, args.tau_bound)
     payload = verdict.to_json()
     payload["stats"]["millis"] = int((time.perf_counter() - started) * 1000)
     if args.json:

@@ -4,13 +4,14 @@ on-the-fly games for graphs that cannot be fully explored.
 Five relations are supported, all divergence-sensitive: strong, weak and
 branching bisimilarity are computed as partitions by signature refinement;
 quasi-strong and quasi-strong-branching bisimilarity are computed as pair
-relations by greatest-fixpoint deletion. Refuted pairs come with a minimal,
-replayable attacker trace.
+relations by a support-driven worklist fixpoint. Refuted pairs come with a
+minimal, replayable attacker trace, built from ranks searched on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,6 +68,7 @@ class PairRelation:
     kind: str
     pairs: frozenset  # normalized (i, j) with i <= j, identity included
     iterations: int = 0
+    checks: int = 0
 
     def relates(self, s: int, t: int) -> bool:
         return (min(s, t), max(s, t)) in self.pairs
@@ -101,6 +103,7 @@ class AttackerTrace:
     reason: str  # 'no-match' | 'divergence-mismatch'
     final_side: str = ""
     final_action: Optional[Action] = None
+    rank_pairs: int = field(default=0, compare=False)  # search cost, not part of the trace
 
     def __len__(self):
         n = len(self.steps)
@@ -213,95 +216,92 @@ def _signature(lts: Lts, cls, kind: str, block_of, s: int):
 # ---------------------------------------------------------------------------
 # Pair-relation greatest fixpoints
 #
-# A defender answer is a tuple of continuation pairs; the attacker then picks
-# one of them. This uniformly covers the intermediate-state condition of the
-# branching styles, whose answers expose both (challenger, mid) and
-# (derivative, target).
+# A challenge is an attacker move (side, action, derivative, challenger,
+# defender). A defender answer is a tuple of continuation pairs; the attacker
+# then picks one of them. This uniformly covers the intermediate-state
+# condition of the branching styles, whose answers expose both
+# (challenger, mid) and (derivative, target).
 
 
-def _norm(i, j):
-    return (i, j) if i <= j else (j, i)
+def _challenges(lts: Lts, pair):
+    l, r = pair
+    for side, chal, defn in (("left", l, r), ("right", r, l)):
+        for action, deriv in lts.succ(chal):
+            yield side, action, deriv, chal, defn
 
 
-def _answers(lts: Lts, cls: Closures, kind: str, chal: int, defn: int, action: Action, deriv: int, left_is_chal: bool):
-    """All defender answers; each is a tuple of (left, right) continuations."""
+def _answers(lts: Lts, cls: Closures, kind: str, challenge):
+    """Defender answers in a fixed order, lazily; each a tuple of (left, right) continuations."""
+    side, action, deriv, chal, defn = challenge
 
     def orient(c, d):
-        return (c, d) if left_is_chal else (d, c)
+        return (c, d) if side == "left" else (d, c)
 
-    out = []
-    if kind == "strong":
+    # the quasi-strong styles match a silent move with exactly one silent step
+    if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
         for a, t in lts.succ(defn):
             if a == action:
-                out.append((orient(deriv, t),))
+                yield (orient(deriv, t),)
     elif kind == "weak":
         targets = cls.tau_reach[defn] if action.is_tau else cls.weak[defn].get(action, ())
         for t in sorted(targets):
-            out.append((orient(deriv, t),))
+            yield (orient(deriv, t),)
     elif kind == "quasi-strong":
+        for t in sorted(cls.delay[defn].get(action, ())):
+            yield (orient(deriv, t),)
+    elif kind in ("branching", "qs-branching"):
         if action.is_tau:
-            for a, t in lts.succ(defn):
-                if a.is_tau:
-                    out.append((orient(deriv, t),))
-        else:
-            for t in sorted(cls.delay[defn].get(action, ())):
-                out.append((orient(deriv, t),))
-    elif kind == "branching":
-        if action.is_tau:
-            out.append((orient(deriv, defn),))
+            yield (orient(deriv, defn),)
         for mid, t in cls.bpairs(defn, action):
-            out.append((orient(chal, mid), orient(deriv, t)))
-    elif kind == "qs-branching":
-        if action.is_tau:
-            for a, t in lts.succ(defn):
-                if a.is_tau:
-                    out.append((orient(deriv, t),))
-        else:
-            for mid, t in cls.bpairs(defn, action):
-                out.append((orient(chal, mid), orient(deriv, t)))
+            yield (orient(chal, mid), orient(deriv, t))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return out
-
-
-def _pair_ok(lts: Lts, cls: Closures, kind: str, pair, relate) -> bool:
-    l, r = pair
-    if lts.diverges[l] != lts.diverges[r]:
-        return False
-    for chal, defn, left_is_chal in ((l, r, True), (r, l, False)):
-        for action, deriv in lts.succ(chal):
-            found = False
-            for ans in _answers(lts, cls, kind, chal, defn, action, deriv, left_is_chal):
-                if all(relate(a, b) for a, b in ans):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
 
 
 def pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairRelation:
-    """Largest kind-bisimulation contained in the seed (normalized pairs)."""
+    """Largest kind-bisimulation contained in the seed (normalized pairs).
+
+    A worklist fixpoint (Liu & Smolka, ICALP 1998): a check generates each
+    challenge's answers only up to the first whose continuations all survive,
+    which become the pair's support; deleting a pair re-checks only the pairs
+    it supported. `iterations` counts waves (the first full pass, then each
+    re-check wave) and `checks` the pair checks run.
+    """
     if lts.truncated:
         raise TruncatedInput("pair relations need a complete graph")
     if cls is None:
         cls = closures(lts)
-    R = {_norm(i, j) for i, j in seed_pairs}
-    R.update((s, s) for s in range(lts.num_states()))
+    # both orientations, so an oriented continuation is looked up as it is
+    R = {(s, s) for s in range(lts.num_states())}
+    R.update(p for i, j in seed_pairs for p in ((i, j), (j, i)))
+    supporters = {}  # oriented continuation -> pairs whose check relied on it
 
-    def relate(a, b):
-        return _norm(a, b) in R
+    def holds(pair):
+        if lts.diverges[pair[0]] != lts.diverges[pair[1]]:
+            return False
+        support = set()
+        for ch in _challenges(lts, pair):
+            ans = next((ans for ans in _answers(lts, cls, kind, ch) if R.issuperset(ans)), None)
+            if ans is None:
+                return False
+            support.update(ans)
+        for c in support:
+            if c[0] != c[1]:
+                supporters.setdefault(c, []).append(pair)
+        return True
 
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        changed = False
-        for pair in sorted(R):
-            if not _pair_ok(lts, cls, kind, pair, relate):
-                R.discard(pair)
-                changed = True
-    return PairRelation(kind, frozenset(R), iterations)
+    pending = sorted(p for p in R if p[0] < p[1])
+    waves = checks = 0
+    while pending:
+        waves += 1
+        checks += len(pending)
+        woken = set()
+        for pair in pending:
+            if not holds(pair):
+                R.difference_update((pair, pair[::-1]))
+                woken.update(supporters.pop(pair, ()), supporters.pop(pair[::-1], ()))
+        pending = sorted(woken & R)
+    return PairRelation(kind, frozenset(p for p in R if p[0] <= p[1]), waves, checks)
 
 
 def relation_pairs(lts: Lts, kind: str, parts: dict = None, cls: Closures = None):
@@ -324,120 +324,118 @@ def relation_pairs(lts: Lts, kind: str, parts: dict = None, cls: Closures = None
 # Refutation: ranked attacker game and trace extraction
 
 
-def _rank_game(lts: Lts, cls: Closures, kind: str, start, relates):
-    """Ranks of attacker-won pairs reachable from start; rank = moves to win."""
-    start = tuple(start)
-    universe = set()
-    queue = [start]
-    while queue:
-        pair = queue.pop()
-        if pair in universe:
-            continue
-        universe.add(pair)
-        l, r = pair
-        if relates(l, r):
-            continue
-        for chal, defn, left_is_chal in ((l, r, True), (r, l, False)):
-            for action, deriv in lts.succ(chal):
-                for ans in _answers(lts, cls, kind, chal, defn, action, deriv, left_is_chal):
-                    for c in ans:
-                        if c not in universe:
-                            queue.append(c)
-    ranks = {}
-    for pair in universe:
-        l, r = pair
-        if not relates(l, r) and lts.diverges[l] != lts.diverges[r]:
-            ranks[pair] = 0
-    while start not in ranks:
-        newly = []
-        for pair in universe:
-            if pair in ranks or relates(*pair):
-                continue
-            if _best_challenge(lts, cls, kind, pair, ranks) is not None:
-                newly.append(pair)
-        if not newly:
-            break
-        rnd = max(ranks.values(), default=0) + 1
-        for pair in newly:
-            ranks[pair] = rnd
-    return ranks
+class _RankSearch:
+    """Memoised, goal-directed search for "rank(pair) <= k".
 
-
-def _best_challenge(lts: Lts, cls: Closures, kind: str, pair, ranks, below=None):
-    """A challenge all of whose answers contain a ranked continuation.
-
-    With a bound, only continuations of rank strictly below it count, which is
-    what trace extraction needs to make progress. Challenges are tried in
-    (action, side, derivative) order so traces are deterministic and
-    tie-broken by action order.
+    rank is 0 on an unrelated pair whose divergence flags differ, otherwise 1 +
+    min over challenges, max over answers, min over continuations; related pairs
+    have none. rank <= k depends only on pairs within k moves, so a depth-bounded
+    search decides it exactly. Each decided query tightens the pair's proven
+    bounds lo <= rank <= hi, so no (pair, k) is searched twice. Pairs under search
+    are coroutines on an explicit stack, clear of the recursion limit.
     """
 
-    def counts(c):
-        return c in ranks and (below is None or ranks[c] < below)
+    def __init__(self, lts: Lts, cls: Closures, kind: str, relates):
+        self.lts, self.cls, self.kind, self.relates = lts, cls, kind, relates
+        self.lo, self.hi = {}, {}
 
-    l, r = pair
-    options = []
-    for side, chal, defn, left_is_chal in (("left", l, r, True), ("right", r, l, False)):
-        for action, deriv in lts.succ(chal):
-            options.append(
-                ((action.sort_key(), 0 if side == "left" else 1, deriv), action, deriv, side, chal, defn, left_is_chal)
-            )
-    options.sort(key=lambda o: o[0])
-    for _key_, action, deriv, side, chal, defn, left_is_chal in options:
-        answers = _answers(lts, cls, kind, chal, defn, action, deriv, left_is_chal)
-        if all(any(counts(c) for c in ans) for ans in answers):
-            return side, action, deriv, answers
-    return None
+    def _known(self, pair, k):
+        """Whether the bounds settle rank(pair) <= k; None if they do not."""
+        if pair not in self.lo:
+            l, r = pair
+            if self.relates(l, r):
+                self.lo[pair] = math.inf
+            elif self.lts.diverges[l] != self.lts.diverges[r]:
+                self.lo[pair] = self.hi[pair] = 0
+            else:
+                self.lo[pair] = 1
+        if k < self.lo[pair]:
+            return False
+        return True if self.hi.get(pair, math.inf) <= k else None
+
+    def _expand(self, pair, k):
+        """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict."""
+        for ch in _challenges(self.lts, pair):
+            for ans in _answers(self.lts, self.cls, self.kind, ch):
+                for c in ans:
+                    known = self._known(c, k - 1)
+                    if known is None:
+                        known = yield c
+                    if known:
+                        break  # the attacker wins this answer
+                else:
+                    break  # the defender escapes: try the next challenge
+            else:
+                self.hi[pair] = min(k, self.hi.get(pair, math.inf))
+                return True  # every answer is won
+        self.lo[pair] = k + 1
+        return False
+
+    def at_most(self, root, k) -> bool:
+        result = self._known(root, k)
+        if result is not None:
+            return result
+        stack = [(k, self._expand(root, k))]
+        while stack:
+            k, search = stack[-1]
+            try:
+                child = search.send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+                continue
+            stack.append((k - 1, self._expand(child, k - 1)))
+            result = None
+        return result
+
+    def rank(self, pair) -> int:
+        """Exact rank, deepening from the pair's proven lower bound."""
+        self._known(pair, 0)
+        while self.lo[pair] < self.lts.num_states() ** 2:  # a finite rank lies below the pair count
+            if self.at_most(pair, self.lo[pair]):
+                return self.lo[pair]
+        raise InvalidRequest("refutation rank search did not converge")
 
 
 def extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None) -> AttackerTrace:
-    """Minimal attacker trace refuting the start pair; raises if it survives."""
+    """Minimal attacker trace refuting the start pair; raises if it survives.
+
+    Ranks are decided on demand (see `_RankSearch`), only for pairs the trace
+    needs. From a pair of rank b the attacker plays the first challenge, in
+    (action, side, derivative) order, all of whose answers hold a
+    continuation of rank below b. The defender plays the answer whose best
+    such continuation has the highest rank, and the attacker follows the
+    lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
+    the pairs the search bounded.
+    """
     if cls is None:
         cls = closures(lts)
     start = tuple(start)
     if relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
-    ranks = _rank_game(lts, cls, kind, start, relates)
-    if start not in ranks:
-        raise InvalidRequest("refutation rank search did not converge")
-    steps = []
-    pair = start
-    while True:
-        if ranks[pair] == 0:
-            return AttackerTrace(
-                kind,
-                (lts.states[start[0]], lts.states[start[1]]),
-                tuple(steps),
-                "divergence-mismatch",
-            )
-        bound = ranks[pair]
-        side, action, deriv, answers = _best_challenge(lts, cls, kind, pair, ranks, below=bound)
+    game = _RankSearch(lts, cls, kind, relates)
+    steps, reason, final = [], "divergence-mismatch", ("", None)
+    pair, bound = start, game.rank(start)
+    while bound > 0:
+        for ch in sorted(_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
+            answers = tuple(_answers(lts, cls, kind, ch))
+            if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
+                break
         if not answers:
-            chal = pair[0] if side == "left" else pair[1]
-            return AttackerTrace(
-                kind,
-                (lts.states[start[0]], lts.states[start[1]]),
-                tuple(steps),
-                "no-match",
-                final_side=side,
-                final_action=action,
-            )
-        # defender plays the answer that survives longest; the attacker then
-        # follows the lowest-ranked continuation of that answer
-        best_ans, best_val = None, -1
-        for ans in answers:
-            val = min(ranks[c] for c in ans if c in ranks and ranks[c] < bound)
-            if val > best_val:
-                best_ans, best_val = ans, val
-        nxt = min(
-            (c for c in best_ans if c in ranks and ranks[c] < bound),
-            key=lambda c: (ranks[c], c),
-        )
+            reason, final = "no-match", ch[:2]
+            break
+
+        # the defender plays the (first) answer that survives longest; the
+        # attacker then follows the lowest-ranked continuation of that answer
+        def ranked(ans, below=bound - 1):
+            return sorted((game.rank(c), c) for c in ans if game.at_most(c, below))
+
+        best_ans = max(answers, key=lambda ans: ranked(ans)[0][0])
+        nxt = ranked(best_ans)[0][1]
         rolled = len(best_ans) > 1 and nxt == best_ans[0]
-        steps.append(
-            TraceStep(side, action, (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled)
-        )
-        pair = nxt
+        steps.append(TraceStep(ch[0], ch[1], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
+        pair, bound = nxt, game.rank(nxt)
+    return AttackerTrace(kind, tuple(lts.states[i] for i in start), tuple(steps), reason, *final, rank_pairs=len(game.lo))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +450,11 @@ def check_pair(lts: Lts, s: int, t: int, kind: str) -> Verdict:
         raise TruncatedInput("check_pair needs a complete graph")
     cls = closures(lts)
     pairs, rel = relation_pairs(lts, kind, cls=cls)
-    stats = {"states": lts.num_states(), "iterations": getattr(rel, "iterations", 0)}
+    stats = {"states": lts.num_states(), "iterations": rel.iterations, "gfp_checks": rel.checks}
     if (min(s, t), max(s, t)) in pairs:
         return Verdict("equivalent", kind, witness=rel, stats=stats)
     trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs, cls)
+    stats["rank_pairs"] = trace.rank_pairs
     return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 
@@ -776,6 +775,7 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
             if part.relates(s, t):
                 return Verdict("equivalent", kind, witness=part, stats=stats)
             trace = extract_trace(lts, kind, (s, t), part.relates)
+            stats["rank_pairs"] = trace.rank_pairs
             return Verdict("inequivalent", kind, trace=trace, stats=stats)
         verdict = check_pair(lts, s, t, kind)
         verdict.stats.update(stats)

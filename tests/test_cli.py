@@ -50,6 +50,10 @@ def test_check_weak_growth_pair_bounded(growth_pair, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["outcome"] == "unknown"
     assert blob["bound"]["no_distinction_up_to"] == 4
+    assert blob["bound"]["tau_bound"] == 4
+
+    assert run(["check", "--equiv", "weak", "--game-depth", "4", "--tau-bound", "6", "--json", *growth_pair]) == 2
+    assert json.loads(capsys.readouterr().out)["bound"]["tau_bound"] == 6
 
 
 def test_check_sc(tmp_path):
@@ -58,9 +62,13 @@ def test_check_sc(tmp_path):
     assert run(["check", "--equiv", "sc", a, b]) == 0
 
 
-def test_check_pair_file(tmp_path):
+def test_check_pair_file(tmp_path, capsys):
     pair = write(tmp_path, "pair.proc", "a.0\n---\n'a.0\n")
     assert run(["check", "--equiv", "strong", pair]) == 1
+    capsys.readouterr()
+    assert run(["check", "--equiv", "quasi-strong", "--json", pair]) == 1
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert "gfp_checks" in stats and stats["rank_pairs"] >= 1
 
 
 def test_check_context_kinds(tmp_path, capsys):
@@ -94,6 +102,17 @@ def test_check_context_family_flags(tmp_path, capsys):
     assert code == 1
     blob = json.loads(capsys.readouterr().out)
     assert blob["families_used"]["inputs"] == ["0", "'m"]
+
+
+def test_check_context_tau_bound(tmp_path, capsys):
+    # P and Q reach each other by one silent step, so no weak game tells them
+    # apart; tau bound 1 keeps the game fast (the default bound takes tens of
+    # seconds on this pair).
+    left = write(tmp_path, "l.proc", "!(a(X).0 | 'a<0>.0)\n")
+    right = write(tmp_path, "r.proc", "!(a(X).0 | 'a<0>.0) | a(X).0 | 'a<0>.0\n")
+    code = run(["check", "--equiv", "context-weak", "--game-depth", "2", "--tau-bound", "1", "--json", left, right])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["outcome"] == "no-distinction"
 
 
 def test_check_rejects_ho_terms_for_first_order_kinds(tmp_path, capsys):
