@@ -151,18 +151,20 @@ class Verdict:
 # Partition refinement
 
 
-def compute_partition(lts: Lts, kind: str) -> Partition:
+def compute_partition(lts: Lts, kind: str, cls: Closures = None) -> Partition:
     """Coarsest divergence-sensitive partition for the given transfer style.
 
     The initial partition splits by the divergence flag; each round then
-    splits blocks by transition signatures until nothing changes.
+    splits blocks by transition signatures until nothing changes. Only the
+    weak style reads closures; they are built when not given.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"not a partition kind: {kind!r}")
     if lts.truncated:
         raise TruncatedInput("partitions need a complete graph")
     n = lts.num_states()
-    cls = closures(lts) if kind in ("weak", "branching") else None
+    if cls is None and kind == "weak":
+        cls = closures(lts)
     block_of = _index_groups([(lts.diverges[s],) for s in range(n)])
     iterations = 0
     while True:
@@ -307,12 +309,12 @@ def pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairRelat
 def relation_pairs(lts: Lts, kind: str, parts: dict = None, cls: Closures = None):
     """Normalized equivalent-pair set for any of the five kinds."""
     if kind in PARTITION_KINDS:
-        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind)
+        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind, cls)
         pairs = set(part.pairs())
         pairs.update((s, s) for s in range(lts.num_states()))
         return frozenset(pairs), part
     if kind == "quasi-strong":
-        weak = parts["weak"] if parts and "weak" in parts else compute_partition(lts, "weak")
+        weak = parts["weak"] if parts and "weak" in parts else compute_partition(lts, "weak", cls)
         rel = pair_gfp(lts, kind, weak.pairs(), cls)
     else:
         bran = parts["branching"] if parts and "branching" in parts else compute_partition(lts, "branching")
@@ -406,9 +408,10 @@ def extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None) -> 
     continuation of rank below b. The defender plays the answer whose best
     such continuation has the highest rank, and the attacker follows the
     lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
-    the pairs the search bounded.
+    the pairs the search bounded. The strong style reads no closures; the
+    others build them when not given.
     """
-    if cls is None:
+    if cls is None and kind != "strong":
         cls = closures(lts)
     start = tuple(start)
     if relates(*start):
@@ -548,7 +551,7 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
     cls = closures(lts)
-    parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
+    parts = {k: compute_partition(lts, k, cls) for k in PARTITION_KINDS}
     weak_pairs, _ = relation_pairs(lts, "weak", parts, cls)
     strong_pairs, _ = relation_pairs(lts, "strong", parts, cls)
     branching_pairs, _ = relation_pairs(lts, "branching", parts, cls)
@@ -590,128 +593,135 @@ _TAU_CAP = 4096
 
 
 class _OnTheFly:
+    """Depth-bounded attacker search directly over terms.
+
+    Defender responses are memoised per (defender, action), independent of
+    which side challenged: each is a (mid, target) pair, where mid None stands
+    for the answer with the single continuation (derivative, target), and
+    otherwise for the branching-style answer with continuations (challenger,
+    mid) and (derivative, target). Positions are oriented (left, right).
+    """
+
     def __init__(self, kind, tau_bound):
         self.kind = kind
         self.tau_bound = tau_bound
-        self._closure_cache = {}
-        self._step_cache = {}
+        self.safe = {}  # position -> a budget within which it has no refutation
+        self._closures = {}
+        self._responses = {}
+        self._challenges = {}
+        self.positions = self.memo_hits = self.closures_cut = 0
 
-    def moves(self, p):
-        ms = self._step_cache.get(p)
-        if ms is None:
-            ms = step(p)
-            self._step_cache[p] = ms
-        return ms
+    def closure(self, p):
+        """States within tau_bound silent steps of p, at most _TAU_CAP of them,
+        in term order; and whether a silent step was cut off by either bound."""
+        hit = self._closures.get(p)
+        if hit is not None:
+            return hit
+        seen = {p: 0}
+        order = [p]
+        cut = False
+        for u in order:  # breadth-first: order grows while it is read
+            if seen[u] >= self.tau_bound:
+                # the last layer: nothing is added from here on
+                cut = cut or any(a.is_tau and t not in seen for a, t in step(u))
+                continue
+            for a, t in step(u):
+                if a.is_tau and t not in seen:
+                    if len(seen) < _TAU_CAP:
+                        seen[t] = seen[u] + 1
+                        order.append(t)
+                    else:
+                        cut = True
+        hit = (tuple(sorted(seen, key=term_key)), cut)
+        self._closures[p] = hit
+        return hit
 
     def tau_closure(self, p):
-        seen = self._closure_cache.get(p)
-        if seen is not None:
-            return seen
-        seen = {p: 0}
-        queue = [p]
-        while queue:
-            u = queue.pop(0)
-            if seen[u] >= self.tau_bound:
-                continue
-            for a, t in self.moves(u):
-                if a.is_tau and t not in seen and len(seen) < _TAU_CAP:
-                    seen[t] = seen[u] + 1
-                    queue.append(t)
-        out = tuple(sorted(seen, key=term_key))
-        self._closure_cache[p] = out
-        return out
+        return self.closure(p)[0]
 
-    def answers(self, chal, defn, action, deriv, left_is_chal):
-        def orient(c, d):
-            return (c, d) if left_is_chal else (d, c)
-
+    def responses(self, defn, action):
+        """The defender's answers to an `action` challenge, as (mid, target) pairs."""
+        key = (defn, action)
+        out = self._responses.get(key)
+        if out is not None:
+            return out
         kind = self.kind
-        out = []
-        if kind == "strong":
-            for a, t in self.moves(defn):
-                if a == action:
-                    out.append((orient(deriv, t),))
-        elif kind == "weak":
-            if action.is_tau:
-                for t in self.tau_closure(defn):
-                    out.append((orient(deriv, t),))
-            else:
-                seen = set()
-                for pre in self.tau_closure(defn):
-                    for a, mid in self.moves(pre):
-                        if a == action:
-                            for t in self.tau_closure(mid):
-                                if t not in seen:
-                                    seen.add(t)
-                                    out.append((orient(deriv, t),))
-        elif kind == "quasi-strong":
-            if action.is_tau:
-                for a, t in self.moves(defn):
-                    if a.is_tau:
-                        out.append((orient(deriv, t),))
-            else:
-                seen = set()
-                for pre in self.tau_closure(defn):
-                    for a, t in self.moves(pre):
-                        if a == action and t not in seen:
-                            seen.add(t)
-                            out.append((orient(deriv, t),))
-        elif kind == "branching":
-            if action.is_tau:
-                out.append((orient(deriv, defn),))
-            for pre in self.tau_closure(defn):
-                for a, t in self.moves(pre):
-                    if a == action:
-                        out.append((orient(chal, pre), orient(deriv, t)))
-        elif kind == "qs-branching":
-            if action.is_tau:
-                for a, t in self.moves(defn):
-                    if a.is_tau:
-                        out.append((orient(deriv, t),))
-            else:
-                for pre in self.tau_closure(defn):
-                    for a, t in self.moves(pre):
-                        if a == action:
-                            out.append((orient(chal, pre), orient(deriv, t)))
+        cut = False
+        # the quasi-strong styles match a silent move with exactly one silent step
+        if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
+            out = tuple((None, t) for a, t in step(defn) if a == action)
         else:
-            raise ValueError(f"unknown kind {kind!r}")
+            pres, cut = self.closure(defn)
+            if kind == "weak" and action.is_tau:
+                out = tuple((None, t) for t in pres)
+            elif kind == "weak":
+                targets = {}
+                for pre in pres:
+                    for a, mid in step(pre):
+                        if a == action:
+                            after, after_cut = self.closure(mid)
+                            cut = cut or after_cut
+                            targets.update(dict.fromkeys(after))
+                out = tuple((None, t) for t in targets)
+            elif kind == "quasi-strong":
+                targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
+                out = tuple((None, t) for t in targets)
+            elif kind in ("branching", "qs-branching"):
+                out = ((None, defn),) if action.is_tau else ()
+                out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
+        self.closures_cut += cut
+        self._responses[key] = out
         return out
 
-    def attack(self, l, r, budget, safe):
-        """Refutation steps from (l, r) within budget, or None."""
+    def challenges(self, l, r):
+        """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
+        out = self._challenges.get((l, r))
+        if out is None:
+            # step lists moves in (action, derivative) order; the sort is stable
+            out = [("left", a, d) for a, d in step(l)] + [("right", a, d) for a, d in step(r)]
+            out.sort(key=lambda ch: (ch[1].sort_key(), ch[0]))
+            self._challenges[(l, r)] = out
+        return out
+
+    def attack(self, l, r, budget):
+        """Refutation steps from (l, r) within budget, or None.
+
+        The result depends on (l, r, budget) only: `safe` records only true
+        facts, and no refutation within a budget means none within less.
+        """
         if l == r or budget <= 0:
             return None
-        key = (l, r)
-        if safe.get(key, -1) >= budget:
+        if self.safe.get((l, r), -1) >= budget:
+            self.memo_hits += 1
             return None
-        options = []
-        for side, chal, defn, left_is_chal in (("left", l, r, True), ("right", r, l, False)):
-            for action, deriv in self.moves(chal):
-                options.append((action.sort_key(), 0 if side == "left" else 1, term_key(deriv), side, action, deriv, chal, defn, left_is_chal))
-        options.sort(key=lambda o: o[:3])
-        for _ak, _sd, _dk, side, action, deriv, chal, defn, left_is_chal in options:
-            answers = self.answers(chal, defn, action, deriv, left_is_chal)
-            if not answers:
+        self.positions += 1
+        for side, action, deriv in self.challenges(l, r):
+            chal, defn = (l, r) if side == "left" else (r, l)
+            responses = self.responses(defn, action)
+            if not responses:
                 return [(side, action, None, False)]
             # every answer must offer a refutable continuation
             per_answer = []
-            ok = True
-            for ans in answers:
+            for mid, t in responses:
+                ans = ((deriv, t),) if mid is None else ((chal, mid), (deriv, t))
+                if side == "right":
+                    ans = tuple(c[::-1] for c in ans)
                 chosen = None
                 for cont in ans:
-                    tail = self.attack(cont[0], cont[1], budget - 1, safe)
+                    tail = self.attack(cont[0], cont[1], budget - 1)
                     if tail is not None:
                         chosen = (cont, tail, len(ans) > 1 and cont == ans[0])
                         break
                 if chosen is None:
-                    ok = False
                     break
                 per_answer.append(chosen)
-            if ok:
+            else:
                 # show the defender answer whose refutation is longest
                 cont, tail, rolled = max(per_answer, key=lambda c: len(c[1]))
                 return [(side, action, cont, rolled)] + tail
-        safe[key] = budget
+        self.safe[(l, r)] = budget
         return None
 
 
@@ -730,15 +740,22 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
     game = _OnTheFly(kind, tau_bound)
     found = None
     for budget in range(1, depth + 1):
-        found = game.attack(p, q, budget, {})
+        found = game.attack(p, q, budget)
         if found is not None:
             break
+    stats = {
+        "depth": depth,
+        "game_positions": game.positions,
+        "memo_hits": game.memo_hits,
+        "responses": len(game._responses),
+        "closures_cut": game.closures_cut,
+    }
     if found is None:
         return Verdict(
             "unknown",
             kind,
             bound_report={"no_distinction_up_to": depth, "tau_bound": tau_bound},
-            stats={"depth": depth},
+            stats=stats,
         )
     steps = []
     cur = (p, q)
@@ -751,7 +768,7 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
         steps.append(TraceStep(side, action, cont, rolled_back=rolled))
         cur = cont
     trace = AttackerTrace(kind, (p, q), tuple(steps), reason, final_side, final_action)
-    return Verdict("inequivalent", kind, trace=trace, stats={"depth": depth})
+    return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +787,12 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     stats = {"states": lts.num_states()}
     if not lts.truncated:
         if kind in PARTITION_KINDS:
-            part = compute_partition(lts, kind)
+            cls = closures(lts) if kind == "weak" else None
+            part = compute_partition(lts, kind, cls)
             stats["iterations"] = part.iterations
             if part.relates(s, t):
                 return Verdict("equivalent", kind, witness=part, stats=stats)
-            trace = extract_trace(lts, kind, (s, t), part.relates)
+            trace = extract_trace(lts, kind, (s, t), part.relates, cls)
             stats["rank_pairs"] = trace.rank_pairs
             return Verdict("inequivalent", kind, trace=trace, stats=stats)
         verdict = check_pair(lts, s, t, kind)

@@ -466,10 +466,7 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8, tau_cap: int = 4096) 
         derivs = [t for a, t in step(cur[chal_i]) if a == trace.final_action]
         if not derivs:
             raise ReplayError("final challenge is not a real transition")
-        if all(
-            game.answers(cur[chal_i], cur[defn_i], trace.final_action, deriv, chal_i == 0)
-            for deriv in derivs
-        ):
+        if game.responses(cur[defn_i], trace.final_action):
             raise ReplayError("defender still has an answer to the final challenge")
     else:
         probe = Bounds(512, 32)

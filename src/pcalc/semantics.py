@@ -41,6 +41,7 @@ class Action:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash((self.kind, self.name)))
+        object.__setattr__(self, "_sk", ({"tau": 0, "in": 1, "out": 2}[self.kind], self.name))
 
     def __hash__(self):
         return self._h
@@ -57,7 +58,7 @@ class Action:
         raise ValueError("tau has no complement")
 
     def sort_key(self):
-        return ({"tau": 0, "in": 1, "out": 2}[self.kind], self.name)
+        return self._sk
 
     def label(self) -> str:
         if self.kind == "tau":
@@ -128,20 +129,27 @@ def _step(p: Term):
                 if act_out.kind == "out" and act_out.name == act_in.name:
                     moves.add((TAU, _par_of([t_in, t_out, p])))
     elif isinstance(p, Par):
+        # Equal parts step alike, so each distinct part steps once, at its
+        # first position; a second position lets two copies communicate.
         parts = p.parts
-        part_moves = [step(q) for q in parts]
-        for i, ms in enumerate(part_moves):
-            for act, t in ms:
-                moves.add((act, _par_replace(parts, i, t)))
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                for act_i, t_i in part_moves[i]:
-                    if act_i.is_tau:
-                        continue
-                    comp = act_i.complement()
-                    for act_j, t_j in part_moves[j]:
-                        if act_j == comp:
-                            moves.add((TAU, _par_replace2(parts, i, t_i, j, t_j)))
+        where = {}
+        for i, q in enumerate(parts):
+            where.setdefault(q, []).append(i)
+        visible = {}  # action -> [(positions of the part, derivative)]
+        for q, at in where.items():
+            for act, t in step(q):
+                moves.add((act, _par_replace(parts, at[0], t)))
+                if not act.is_tau:
+                    visible.setdefault(act, []).append((at, t))
+        for act, ins in visible.items():
+            if act.kind != "in":
+                continue
+            for at_o, t_o in visible.get(act.complement(), ()):
+                for at_i, t_i in ins:
+                    if at_i is not at_o:
+                        moves.add((TAU, _par_replace2(parts, at_i[0], t_i, at_o[0], t_o)))
+                    elif len(at_i) > 1:
+                        moves.add((TAU, _par_replace2(parts, at_i[0], t_i, at_i[1], t_o)))
     else:
         raise TypeError(f"not a first-order term: {p!r}")
     return tuple(sorted(moves, key=lambda m: (m[0].sort_key(), term_key(m[1]))))

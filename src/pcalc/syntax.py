@@ -10,6 +10,7 @@ binders to position-determined names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Union
 
 
@@ -29,12 +30,18 @@ class DialectMismatch(TypeError):
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
+#
+# Each node caches, at construction and from its children's caches, its hash
+# (`_h`) and whether a variable node occurs in it (`_hv`).
+
+_HAS_VAR = attrgetter("_hv")
 
 
 @dataclass(frozen=True)
 class Nil:
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Nil",)))
+        object.__setattr__(self, "_hv", False)
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,7 @@ class Var:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Var", self.name)))
+        object.__setattr__(self, "_hv", True)
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,7 @@ class InputPrefix:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("In", self.name, self.cont)))
+        object.__setattr__(self, "_hv", self.cont._hv)
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class OutputPrefix:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Out", self.name, self.cont)))
+        object.__setattr__(self, "_hv", self.cont._hv)
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,7 @@ class Repl:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Repl", self.body)))
+        object.__setattr__(self, "_hv", self.body._hv)
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,7 @@ class Par:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("Par",) + self.parts))
+        object.__setattr__(self, "_hv", any(map(_HAS_VAR, self.parts)))
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,7 @@ class HoInput:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("HoIn", self.channel, self.var, self.body)))
+        object.__setattr__(self, "_hv", self.body._hv)
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,7 @@ class HoOutput:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("HoOut", self.channel, self.message, self.cont)))
+        object.__setattr__(self, "_hv", self.message._hv or self.cont._hv)
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,7 @@ class GuardedRepl:
 
     def __post_init__(self):
         object.__setattr__(self, "_h", hash(("GRepl", self.prefix)))
+        object.__setattr__(self, "_hv", self.prefix._hv)
 
 
 Term = Union[Nil, Var, InputPrefix, OutputPrefix, Repl, Par, HoInput, HoOutput]
@@ -202,20 +217,12 @@ def dialect_of(p: Term) -> str:
 # Rank order: Nil < Var < input prefix < output prefix < Repl < Par, with
 # lexicographic tie-breaking. Bound variables are keyed by binder index so the
 # order is invariant under alpha-renaming; the order is purely syntactic.
-
-_HAS_VAR_CACHE = "_hv"
-
-
-def _has_var(p: Term) -> bool:
-    hv = getattr(p, _HAS_VAR_CACHE, None)
-    if hv is None:
-        hv = any(isinstance(t, Var) for t in subterms(p))
-        object.__setattr__(p, _HAS_VAR_CACHE, hv)
-    return hv
+# A term with no variable node keys alike in every binder environment, so its
+# key is cached on the node.
 
 
 def _key(p: Term, env: dict, depth: int):
-    if not _has_var(p):
+    if not p._hv:
         k = getattr(p, "_k", None)
         if k is not None:
             return k
@@ -252,7 +259,8 @@ def _key_compute(p: Term, env: dict, depth: int):
 
 def term_key(p: Term):
     """Sort key realizing the total term order on canonical terms."""
-    return _key(p, {}, 0)
+    k = getattr(p, "_k", None)
+    return _key(p, {}, 0) if k is None else k
 
 
 # ---------------------------------------------------------------------------

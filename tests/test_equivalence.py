@@ -187,6 +187,27 @@ def test_decide_exact_on_finite_inputs():
     assert decide(parse("!a.0"), parse("!a.0 | !a.0"), "sc").outcome == "inequivalent"
 
 
+def test_decide_builds_closures_once_and_only_when_read(monkeypatch):
+    import pcalc.equivalence as equivalence
+
+    built = []
+    real = equivalence.closures
+    monkeypatch.setattr(equivalence, "closures", lambda lts: built.append(lts) or real(lts))
+    differ, same = (parse("a.b.0"), parse("a.c.0")), (parse("a | b"), parse("b | a"))
+    expected = {
+        ("strong", differ): 0,  # no strong answer reads closures
+        ("weak", differ): 1,  # shared by the refinement and the trace
+        ("weak", same): 1,
+        ("branching", differ): 1,  # read by the trace only
+        ("branching", same): 0,
+        ("quasi-strong", differ): 1,
+    }
+    for (kind, pair), count in expected.items():
+        built.clear()
+        decide(*pair, kind)
+        assert len(built) == count, kind
+
+
 def test_decide_bounded_refutation_and_bound_report():
     p1, p2 = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
     strong = decide(p1, p2, "strong", game_depth=6)

@@ -234,3 +234,30 @@ def test_roundtrip_hypothesis(seed):
     rng = rng_from_env(seed)
     t = canonicalize(random_ccsm(rng, rng.randint(1, 14)))
     assert parse(render(t)) == t
+
+
+def test_term_key_of_a_deep_chain_walks_no_subterms(monkeypatch):
+    import pcalc.syntax as syntax
+
+    def no_walk(p):
+        raise AssertionError("term_key walked the subterms")
+
+    monkeypatch.setattr(syntax, "subterms", no_walk)
+    # built node by node, as exploration builds derivatives: each key reuses
+    # the child's cached key, and the variable flag comes from the child's
+    chain = NIL
+    for i in range(10_000):
+        chain = (InputPrefix if i % 2 else OutputPrefix)("a", chain)
+        term_key(chain)
+    assert term_key(Par((chain, NIL)))[0] == 5
+
+    # a variable 100 nodes deep still keys by its binder, not by its name
+    def bound(var):
+        body = Par((Var(var), HoOutput("b", Var(var), NIL)))
+        for _ in range(100):
+            body = HoOutput("a", NIL, body)
+        return HoInput("c", var, body)
+
+    term = bound("X")
+    assert term_key(term.body) != term_key(bound("Y").body)
+    assert term_key(term) == term_key(bound("Y"))
