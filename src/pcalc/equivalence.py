@@ -6,6 +6,11 @@ branching bisimilarity are computed as partitions by signature refinement;
 quasi-strong and quasi-strong-branching bisimilarity are computed as pair
 relations by a support-driven worklist fixpoint. Refuted pairs come with a
 minimal, replayable attacker trace, built from ranks searched on demand.
+
+One refinement loop serves every partition. A strong signature is read off a
+state's own moves. Weak and branching signatures are built once per
+silent-step SCC, sinks first, from the SCC's own moves and the signatures of
+the SCCs its silent steps lead to, so refinement reads no weak closures.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semantics
-from .semantics import Action, Bounds, Closures, Lts, closures, step, union_lts
+from .semantics import TAU, Action, Bounds, Closures, Lts, closures, step, union_lts
 from .syntax import Term, canonicalize, render, sc_equal, term_key
 
 PARTITION_KINDS = ("strong", "weak", "branching")
@@ -151,29 +156,32 @@ class Verdict:
 # Partition refinement
 
 
-def compute_partition(lts: Lts, kind: str, cls: Closures = None) -> Partition:
+def compute_partition(lts: Lts, kind: str) -> Partition:
     """Coarsest divergence-sensitive partition for the given transfer style.
 
     The initial partition splits by the divergence flag; each round then
-    splits blocks by transition signatures until nothing changes. Only the
-    weak style reads closures; they are built when not given.
+    splits blocks by transition signatures until nothing changes.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"not a partition kind: {kind!r}")
     if lts.truncated:
         raise TruncatedInput("partitions need a complete graph")
-    n = lts.num_states()
-    if cls is None and kind == "weak":
-        cls = closures(lts)
-    block_of = _index_groups([(lts.diverges[s],) for s in range(n)])
+    return _refine(lts, kind, _index_groups([(d,) for d in lts.diverges]))
+
+
+def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
+    """Splits the blocks of block_of by kind signatures until a round splits
+    none. `history`, when given, receives each partition a round changed."""
+    signatures = _strong_signatures(lts) if kind == "strong" else _silent_signatures(lts, kind)
     iterations = 0
     while True:
         iterations += 1
-        sigs = [_signature(lts, cls, kind, block_of, s) for s in range(n)]
-        new_block_of = _index_groups([(block_of[s], sigs[s]) for s in range(n)])
+        new_block_of = _index_groups(list(zip(block_of, signatures(block_of))))
         if max(new_block_of, default=-1) == max(block_of, default=-1):
             return Partition(kind, tuple(new_block_of), iterations)
         block_of = new_block_of
+        if history is not None:
+            history.append(block_of)
 
 
 def _index_groups(keys):
@@ -186,33 +194,80 @@ def _index_groups(keys):
     return out
 
 
-def _signature(lts: Lts, cls, kind: str, block_of, s: int):
-    if kind == "strong":
-        return frozenset((a.sort_key(), block_of[t]) for a, t in lts.succ(s))
-    if kind == "weak":
-        sig = set()
-        for a, ts in cls.weak[s].items():
-            for t in ts:
-                sig.add((a.sort_key(), block_of[t]))
-        return frozenset(sig)
-    # branching: tau-paths inside the own block, then one exit step; a tau
-    # step back into the own block is not an observation.
-    own = block_of[s]
-    internal = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for a, t in lts.succ(u):
-            if a.is_tau and block_of[t] == own and t not in internal:
-                internal.add(t)
-                stack.append(t)
-    sig = set()
-    for u in internal:
-        for a, t in lts.succ(u):
-            if a.is_tau and block_of[t] == own:
-                continue
-            sig.add((a.sort_key(), block_of[t]))
-    return frozenset(sig)
+def _coded_moves(lts: Lts):
+    """Each state's moves as (action code, target); tau is code 0."""
+    codes = {TAU: 0}
+    return [[(codes.setdefault(a, len(codes)), t) for a, t in lts.succ(s)] for s in range(lts.num_states())]
+
+
+def _strong_signatures(lts: Lts):
+    moves = _coded_moves(lts)
+    return lambda block_of: [frozenset((a, block_of[t]) for a, t in row) for row in moves]
+
+
+def _silent_signatures(lts: Lts, kind: str):
+    """Weak or branching signatures, built once per silent SCC, sinks first.
+
+    The members of a silent SCC share a block in every round: they start with
+    one divergence flag, and as they reach the same states silently, a round
+    gives them one signature. So a signature is read off the SCC's own
+    visible moves and the SCCs its silent steps exit to (`exits`), whose
+    signatures are already built, and the block of an SCC is that of its
+    first member.
+
+    - weak: the blocks reached silently, and per visible action a the blocks
+      reached by =>a=>, as bitmasks over block ids.
+    - branching: the moves out of the SCC's silent closure within its own
+      block, as (action code, block) codes. A silent exit into the own block
+      is inert: that SCC's signature is part of this one. This is the set a
+      search from each member along silent steps inside its block would find.
+    """
+    sccs = lts.silent_sccs()
+    moves = _coded_moves(lts)
+    visible = [[(a, t) for u in scc for a, t in moves[u] if a] for scc in sccs.members]
+    first = [scc[0] for scc in sccs.members]
+    of, exits = sccs.of, sccs.exits
+
+    def weak(block_of):
+        reach = []
+        for c, f in enumerate(first):
+            r = 1 << block_of[f]
+            for d in exits[c]:
+                r |= reach[d]
+            reach.append(r)
+        after = []  # per SCC: visible action code -> bitmask of the =>a=> blocks
+        for c in range(len(first)):
+            w = {}
+            for d in exits[c]:
+                for a, m in after[d].items():
+                    w[a] = w.get(a, 0) | m
+            for a, t in visible[c]:
+                w[a] = w.get(a, 0) | reach[of[t]]
+            after.append(w)
+        return [(r, tuple(sorted(w.items()))) for r, w in zip(reach, after)]
+
+    def branching(block_of):
+        width = max(block_of, default=0) + 1
+        out = []
+        for c, f in enumerate(first):
+            own = block_of[f]
+            sig = {a * width + block_of[t] for a, t in visible[c]}
+            for d in exits[c]:
+                b = block_of[first[d]]
+                if b == own:
+                    sig |= out[d]
+                else:
+                    sig.add(b)  # a silent exit: code 0 * width + b
+            out.append(frozenset(sig))
+        return out
+
+    per_scc = weak if kind == "weak" else branching
+
+    def signatures(block_of):
+        ids = _index_groups(per_scc(block_of))
+        return [ids[c] for c in of]
+
+    return signatures
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +364,12 @@ def pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairRelat
 def relation_pairs(lts: Lts, kind: str, parts: dict = None, cls: Closures = None):
     """Normalized equivalent-pair set for any of the five kinds."""
     if kind in PARTITION_KINDS:
-        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind, cls)
+        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind)
         pairs = set(part.pairs())
         pairs.update((s, s) for s in range(lts.num_states()))
         return frozenset(pairs), part
     if kind == "quasi-strong":
-        weak = parts["weak"] if parts and "weak" in parts else compute_partition(lts, "weak", cls)
+        weak = parts["weak"] if parts and "weak" in parts else compute_partition(lts, "weak")
         rel = pair_gfp(lts, kind, weak.pairs(), cls)
     else:
         bran = parts["branching"] if parts and "branching" in parts else compute_partition(lts, "branching")
@@ -494,9 +549,19 @@ def classify_tau(lts: Lts, weak: Partition = None) -> TauClassification:
         if a.is_tau:
             lab = "state-preserving" if weak.relates(s, t) else "state-changing"
             labels[(s, t)] = lab
-    cls = closures(lts)
+    # a state is stable when all it reaches silently shares its weak block;
+    # an SCC is, when its members and its stable exits share one block
+    block_of = weak.block_of
+    sccs = lts.silent_sccs()
+    stable_scc = []
+    for c, scc in enumerate(sccs.members):
+        own = block_of[scc[0]]
+        stable_scc.append(
+            all(block_of[u] == own for u in scc)
+            and all(stable_scc[d] and block_of[sccs.members[d][0]] == own for d in sccs.exits[c])
+        )
     n = lts.num_states()
-    stable = [all(weak.relates(s, t) for t in cls.tau_reach[s]) for s in range(n)]
+    stable = [stable_scc[c] for c in sccs.of]
     # multi-source BFS over reversed tau edges from the stable states
     rev = [[] for _ in range(n)]
     for s, a, t in lts.edges:
@@ -551,10 +616,10 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
     cls = closures(lts)
-    parts = {k: compute_partition(lts, k, cls) for k in PARTITION_KINDS}
-    weak_pairs, _ = relation_pairs(lts, "weak", parts, cls)
-    strong_pairs, _ = relation_pairs(lts, "strong", parts, cls)
-    branching_pairs, _ = relation_pairs(lts, "branching", parts, cls)
+    parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
+    weak_pairs, _ = relation_pairs(lts, "weak", parts)
+    strong_pairs, _ = relation_pairs(lts, "strong", parts)
+    branching_pairs, _ = relation_pairs(lts, "branching", parts)
     qs_pairs, _ = relation_pairs(lts, "quasi-strong", parts, cls)
     qsb_pairs, _ = relation_pairs(lts, "qs-branching", parts, cls)
     violations = []
@@ -787,12 +852,11 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     stats = {"states": lts.num_states()}
     if not lts.truncated:
         if kind in PARTITION_KINDS:
-            cls = closures(lts) if kind == "weak" else None
-            part = compute_partition(lts, kind, cls)
+            part = compute_partition(lts, kind)
             stats["iterations"] = part.iterations
             if part.relates(s, t):
                 return Verdict("equivalent", kind, witness=part, stats=stats)
-            trace = extract_trace(lts, kind, (s, t), part.relates, cls)
+            trace = extract_trace(lts, kind, (s, t), part.relates)
             stats["rank_pairs"] = trace.rank_pairs
             return Verdict("inequivalent", kind, trace=trace, stats=stats)
         verdict = check_pair(lts, s, t, kind)

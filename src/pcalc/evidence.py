@@ -360,17 +360,8 @@ def satisfies(lts: Lts, s: int, f) -> bool:
 def distinguishing_formula(lts: Lts, s: int, t: int):
     """Formula true at s and false at t, from divergence-blind strong
     refinement rounds; None when only divergence separates the states."""
-    n = lts.num_states()
-    history = [[0] * n]
-    while True:
-        prev = history[-1]
-        sigs = [
-            frozenset((a.sort_key(), prev[v]) for a, v in lts.succ(u)) for u in range(n)
-        ]
-        nxt = equivalence._index_groups([(prev[u], sigs[u]) for u in range(n)])
-        if max(nxt) == max(prev):
-            break
-        history.append(nxt)
+    history = [[0] * lts.num_states()]
+    equivalence._refine(lts, "strong", history[0], history)
     if history[-1][s] == history[-1][t]:
         return None
 
@@ -419,7 +410,7 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
     modal distinguishing formula is synthesized too when one exists."""
     if lts.truncated:
         raise equivalence.TruncatedInput("evidence extraction needs a complete graph")
-    cls = closures(lts)
+    cls = None if kind == "strong" else closures(lts)
     pairs, _rel = relation_pairs(lts, kind, cls=cls)
     if (min(s, t), max(s, t)) in pairs:
         raise InvalidRequest("states are equivalent under this kind")

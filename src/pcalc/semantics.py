@@ -1,5 +1,5 @@
 """First-order operational semantics: single steps, bounded state graphs,
-weak and delay closures, and divergence analysis.
+their silent-step SCCs, weak and delay closures, and divergence analysis.
 
 State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
@@ -9,7 +9,7 @@ expanded, and downstream analyses must treat such graphs as partial.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -208,9 +208,14 @@ class Lts:
         self._succ = [[] for _ in self.states]
         for s, a, t in self.edges:
             self._succ[s].append((a, t))
+        self._sccs = _silent_sccs(self)
 
     def succ(self, s: int):
         return self._succ[s]
+
+    def silent_sccs(self) -> "SilentSccs":
+        """The SCCs of the silent steps."""
+        return self._sccs
 
     def tau_succ(self, s: int):
         return [t for a, t in self._succ[s] if a.is_tau]
@@ -308,6 +313,90 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
 
 
 # ---------------------------------------------------------------------------
+# Silent-step SCCs
+#
+# One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1972) over the silent
+# edges. States of one SCC reach the same states silently, so divergence,
+# closures and the weak and branching signatures are computed once per SCC,
+# sinks first, from the SCCs one silent step leaves it for.
+
+
+@dataclass(frozen=True)
+class SilentSccs:
+    """The SCCs of a graph's silent steps, numbered sinks first: a silent step
+    out of SCC c enters an SCC numbered below c.
+
+    of[s]: the SCC of state s. members[c]: its states, ascending. cyclic[c]:
+    whether its states lie on a silent cycle (more than one member, or a
+    silent self-loop). exits[c]: the other SCCs one silent step from c reaches,
+    ascending.
+    """
+
+    of: tuple
+    members: tuple
+    cyclic: tuple
+    exits: tuple
+
+
+def _silent_sccs(lts: Lts) -> SilentSccs:
+    n = lts.num_states()
+    adj = [lts.tau_succ(s) for s in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    of = [-1] * n
+    stack = []
+    members = []
+    visits = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if of[w] < 0:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    c = len(members)
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        of[w] = c
+                        scc.append(w)
+                        if w == v:
+                            break
+                    members.append(tuple(sorted(scc)))
+    cyclic = []
+    exits = []
+    for c, scc in enumerate(members):
+        cyclic.append(len(scc) > 1 or scc[0] in adj[scc[0]])
+        exits.append(tuple(sorted({of[t] for u in scc for t in adj[u]} - {c})))
+    return SilentSccs(tuple(of), tuple(members), tuple(cyclic), tuple(exits))
+
+
+def _scc_reach(sccs: SilentSccs):
+    """Reflexive silent reachability per SCC: one frozenset its members share."""
+    reach = []
+    for c, scc in enumerate(sccs.members):
+        reach.append(frozenset(scc).union(*(reach[d] for d in sccs.exits[c])))
+    return reach
+
+
+# ---------------------------------------------------------------------------
 # Divergence
 #
 # On a complete graph a state diverges iff it tau-reaches a tau-cycle. On a
@@ -316,61 +405,30 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
 # forever, because steps survive added parallel context.
 
 
-def _tau_adjacency(lts: Lts):
-    return [[t for a, t in lts.succ(s) if a.is_tau] for s in range(lts.num_states())]
-
-
-def _tau_reach_sets(lts: Lts):
-    """Reflexive tau-reachability set per state."""
-    adj = _tau_adjacency(lts)
-    n = lts.num_states()
-    reach = []
-    for s in range(n):
-        seen = {s}
-        queue = deque((s,))
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        reach.append(frozenset(seen))
-    return reach
-
-
 def _divergence_flags(lts: Lts):
-    n = lts.num_states()
-    adj = _tau_adjacency(lts)
-    reach = _tau_reach_sets(lts)
-    on_cycle = set()
-    for s in range(n):
-        for t in adj[s]:
-            if t == s or s in reach[t]:
-                on_cycle.add(s)
-                break
-    yes_roots = set(on_cycle)
+    sccs = lts.silent_sccs()
+    k = len(sccs.members)
+    yes = [False] * k
+    unknown = [False] * k
     if lts.truncated:
+        reach = _scc_reach(sccs)
         comp = [components(p) for p in lts.states]
-        for u in range(n):
-            cu = comp[u]
-            for v in reach[u]:
-                if v == u:
-                    continue
-                cv = comp[v]
-                if sum(cv.values()) > sum(cu.values()) and all(
-                    cv[k] >= c for k, c in cu.items()
-                ):
-                    yes_roots.add(u)
-                    break
-    flags = []
-    for s in range(n):
-        if reach[s] & yes_roots:
-            flags.append(DIV_YES)
-        elif lts.truncated and reach[s] & lts.frontier:
-            flags.append(DIV_UNKNOWN)
-        else:
-            flags.append(DIV_NO)
-    return flags
+        size = [sum(cu.values()) for cu in comp]
+    for c, scc in enumerate(sccs.members):
+        exits = sccs.exits[c]
+        yes[c] = sccs.cyclic[c] or any(yes[d] for d in exits)
+        if not lts.truncated:
+            continue
+        # a growth witness matters only where no cycle is reached already
+        if not yes[c]:
+            yes[c] = any(
+                size[v] > size[u] and all(comp[v][p] >= m for p, m in comp[u].items())
+                for u in scc
+                for v in reach[c]
+                if v != u
+            )
+        unknown[c] = any(u in lts.frontier for u in scc) or any(unknown[d] for d in exits)
+    return [DIV_YES if yes[c] else DIV_UNKNOWN if unknown[c] else DIV_NO for c in sccs.of]
 
 
 def diverges(lts: Lts, s: int) -> str:
@@ -414,28 +472,30 @@ class Closures:
 
 
 def closures(lts: Lts) -> Closures:
+    """Weak and delay closures, computed once per silent SCC and shared by
+    its members."""
     if lts.truncated:
         raise SaturationOnTruncated("closures need a complete graph")
-    n = lts.num_states()
-    reach = _tau_reach_sets(lts)
-    delay = [{} for _ in range(n)]
-    weak = [{} for _ in range(n)]
-    for s in range(n):
+    sccs = lts.silent_sccs()
+    reach = _scc_reach(sccs)
+    of = sccs.of
+    delay = []
+    weak = []
+    for c in range(len(sccs.members)):
         dmap = {}
-        for mid in reach[s]:
+        for mid in reach[c]:
             for a, t in lts.succ(mid):
-                if a.is_tau:
-                    continue
-                dmap.setdefault(a, set()).add(t)
-        delay[s] = {a: frozenset(ts) for a, ts in dmap.items()}
-        wmap = {TAU: frozenset(reach[s])}
-        for a, ts in delay[s].items():
+                if not a.is_tau:
+                    dmap.setdefault(a, set()).add(t)
+        delay.append({a: frozenset(ts) for a, ts in dmap.items()})
+        wmap = {TAU: reach[c]}
+        for a, ts in dmap.items():
             targets = set()
             for t in ts:
-                targets |= reach[t]
+                targets |= reach[of[t]]
             wmap[a] = frozenset(targets)
-        weak[s] = wmap
-    return Closures(lts, reach, weak, delay)
+        weak.append(wmap)
+    return Closures(lts, [reach[c] for c in of], [weak[c] for c in of], [delay[c] for c in of])
 
 
 @dataclass

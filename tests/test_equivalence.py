@@ -196,8 +196,8 @@ def test_decide_builds_closures_once_and_only_when_read(monkeypatch):
     differ, same = (parse("a.b.0"), parse("a.c.0")), (parse("a | b"), parse("b | a"))
     expected = {
         ("strong", differ): 0,  # no strong answer reads closures
-        ("weak", differ): 1,  # shared by the refinement and the trace
-        ("weak", same): 1,
+        ("weak", differ): 1,  # read by the trace only
+        ("weak", same): 0,  # refinement reads no closures
         ("branching", differ): 1,  # read by the trace only
         ("branching", same): 0,
         ("quasi-strong", differ): 1,

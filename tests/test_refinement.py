@@ -1,0 +1,336 @@
+"""The refinement core against a frozen reference.
+
+The reference below is the earlier per-state implementation, kept verbatim
+apart from its names: reachability by one breadth-first search per state,
+divergence flags and closures read off those sets, weak signatures read off
+the closures, branching signatures from a search per state, and stability in
+`classify_tau` from the closures. The SCC-ordered versions in
+`pcalc.semantics` and `pcalc.equivalence` must give the same flags, closures,
+partitions (block numbering and round counts included) and classifications.
+"""
+
+import random
+import sys
+from collections import deque
+
+import pytest
+
+from pcalc import evidence
+from pcalc.equivalence import PARTITION_KINDS, _refine, classify_tau, compute_partition
+from pcalc.genterms import random_ccsm, random_graph_lts, random_stabilizing
+from pcalc.semantics import (
+    DIV_NO,
+    DIV_UNKNOWN,
+    DIV_YES,
+    TAU,
+    Action,
+    Bounds,
+    Lts,
+    _divergence_flags,
+    build_lts,
+    closures,
+    components,
+    union_lts,
+)
+from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
+
+# ---------------------------------------------------------------------------
+# Reference implementation (verbatim)
+
+
+def _tau_adjacency(lts: Lts):
+    return [[t for a, t in lts.succ(s) if a.is_tau] for s in range(lts.num_states())]
+
+
+def _tau_reach_sets(lts: Lts):
+    """Reflexive tau-reachability set per state."""
+    adj = _tau_adjacency(lts)
+    n = lts.num_states()
+    reach = []
+    for s in range(n):
+        seen = {s}
+        queue = deque((s,))
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        reach.append(frozenset(seen))
+    return reach
+
+
+def old_divergence_flags(lts: Lts):
+    n = lts.num_states()
+    adj = _tau_adjacency(lts)
+    reach = _tau_reach_sets(lts)
+    on_cycle = set()
+    for s in range(n):
+        for t in adj[s]:
+            if t == s or s in reach[t]:
+                on_cycle.add(s)
+                break
+    yes_roots = set(on_cycle)
+    if lts.truncated:
+        comp = [components(p) for p in lts.states]
+        for u in range(n):
+            cu = comp[u]
+            for v in reach[u]:
+                if v == u:
+                    continue
+                cv = comp[v]
+                if sum(cv.values()) > sum(cu.values()) and all(
+                    cv[k] >= c for k, c in cu.items()
+                ):
+                    yes_roots.add(u)
+                    break
+    flags = []
+    for s in range(n):
+        if reach[s] & yes_roots:
+            flags.append(DIV_YES)
+        elif lts.truncated and reach[s] & lts.frontier:
+            flags.append(DIV_UNKNOWN)
+        else:
+            flags.append(DIV_NO)
+    return flags
+
+
+def old_closures(lts: Lts):
+    """(tau_reach, weak, delay) as the earlier `closures` built them."""
+    n = lts.num_states()
+    reach = _tau_reach_sets(lts)
+    delay = [{} for _ in range(n)]
+    weak = [{} for _ in range(n)]
+    for s in range(n):
+        dmap = {}
+        for mid in reach[s]:
+            for a, t in lts.succ(mid):
+                if a.is_tau:
+                    continue
+                dmap.setdefault(a, set()).add(t)
+        delay[s] = {a: frozenset(ts) for a, ts in dmap.items()}
+        wmap = {TAU: frozenset(reach[s])}
+        for a, ts in delay[s].items():
+            targets = set()
+            for t in ts:
+                targets |= reach[t]
+            wmap[a] = frozenset(targets)
+        weak[s] = wmap
+    return reach, weak, delay
+
+
+class _OldClosures:
+    def __init__(self, lts):
+        self.tau_reach, self.weak, self.delay = old_closures(lts)
+
+
+def old_compute_partition(lts: Lts, kind: str):
+    """(block_of, iterations)."""
+    n = lts.num_states()
+    cls = _OldClosures(lts) if kind == "weak" else None
+    block_of = _index_groups([(lts.diverges[s],) for s in range(n)])
+    iterations = 0
+    while True:
+        iterations += 1
+        sigs = [_signature(lts, cls, kind, block_of, s) for s in range(n)]
+        new_block_of = _index_groups([(block_of[s], sigs[s]) for s in range(n)])
+        if max(new_block_of, default=-1) == max(block_of, default=-1):
+            return tuple(new_block_of), iterations
+        block_of = new_block_of
+
+
+def _index_groups(keys):
+    ids = {}
+    out = []
+    for k in keys:
+        if k not in ids:
+            ids[k] = len(ids)
+        out.append(ids[k])
+    return out
+
+
+def _signature(lts: Lts, cls, kind: str, block_of, s: int):
+    if kind == "strong":
+        return frozenset((a.sort_key(), block_of[t]) for a, t in lts.succ(s))
+    if kind == "weak":
+        sig = set()
+        for a, ts in cls.weak[s].items():
+            for t in ts:
+                sig.add((a.sort_key(), block_of[t]))
+        return frozenset(sig)
+    # branching: tau-paths inside the own block, then one exit step; a tau
+    # step back into the own block is not an observation.
+    own = block_of[s]
+    internal = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for a, t in lts.succ(u):
+            if a.is_tau and block_of[t] == own and t not in internal:
+                internal.add(t)
+                stack.append(t)
+    sig = set()
+    for u in internal:
+        for a, t in lts.succ(u):
+            if a.is_tau and block_of[t] == own:
+                continue
+            sig.add((a.sort_key(), block_of[t]))
+    return frozenset(sig)
+
+
+def old_classify_tau(lts: Lts, weak_block_of):
+    """(edge labels, k)."""
+
+    def relates(s, t):
+        return weak_block_of[s] == weak_block_of[t]
+
+    labels = {}
+    for s, a, t in lts.edges:
+        if a.is_tau:
+            lab = "state-preserving" if relates(s, t) else "state-changing"
+            labels[(s, t)] = lab
+    cls = _OldClosures(lts)
+    n = lts.num_states()
+    stable = [all(relates(s, t) for t in cls.tau_reach[s]) for s in range(n)]
+    # multi-source BFS over reversed tau edges from the stable states
+    rev = [[] for _ in range(n)]
+    for s, a, t in lts.edges:
+        if a.is_tau:
+            rev[t].append(s)
+    k = [None] * n
+    frontier = [s for s in range(n) if stable[s]]
+    for s in frontier:
+        k[s] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for t in frontier:
+            for s in rev[t]:
+                if k[s] is None:
+                    k[s] = d
+                    nxt.append(s)
+        frontier = nxt
+    return labels, tuple(k)
+
+
+def old_strong_history(lts: Lts):
+    """The divergence-blind strong rounds `distinguishing_formula` reads."""
+    n = lts.num_states()
+    history = [[0] * n]
+    while True:
+        prev = history[-1]
+        sigs = [
+            frozenset((a.sort_key(), prev[v]) for a, v in lts.succ(u)) for u in range(n)
+        ]
+        nxt = _index_groups([(prev[u], sigs[u]) for u in range(n)])
+        if max(nxt) == max(prev):
+            break
+        history.append(nxt)
+    return history
+
+
+# ---------------------------------------------------------------------------
+# Comparisons
+
+W4_FAMILY = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | a.a.'d.'d | !a | !'a | !d"
+
+
+def _random_graphs():
+    graphs = []
+    for seed in range(120):
+        rng = random.Random(9000 + seed)
+        names = ("a", "b") if seed % 3 == 0 else ("a",)  # one name: more silent edges
+        graphs.append(random_graph_lts(rng, max_states=rng.choice((8, 20, 40)), names=names))
+    return graphs
+
+
+def _assert_matches_reference(lts):
+    assert lts.diverges == old_divergence_flags(lts)
+    parts = {}
+    for kind in PARTITION_KINDS:
+        part = compute_partition(lts, kind)
+        assert (part.block_of, part.iterations) == old_compute_partition(lts, kind), kind
+        parts[kind] = part
+    tc = classify_tau(lts, parts["weak"])
+    assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["weak"].block_of)
+    tc = classify_tau(lts, parts["strong"])  # a partition that may split a silent SCC
+    assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["strong"].block_of)
+
+
+def test_refinement_matches_reference_on_random_graphs():
+    graphs = _random_graphs()
+    # the sample must exercise silent cycles of more than one state
+    assert sum(any(len(m) > 1 for m in g.silent_sccs().members) for g in graphs) >= 20
+    for lts in graphs:
+        _assert_matches_reference(lts)
+        cls = closures(lts)
+        assert (cls.tau_reach, cls.weak, cls.delay) == old_closures(lts)
+        history = [[0] * lts.num_states()]
+        _refine(lts, "strong", history[0], history)
+        assert history == old_strong_history(lts)
+
+
+def test_refinement_matches_reference_on_the_w4_family():
+    lts = build_lts(parse(W4_FAMILY))
+    assert lts.num_states() == 322 and not lts.truncated
+    _assert_matches_reference(lts)
+
+
+def test_divergence_flags_match_reference_on_truncated_graphs():
+    rng = random.Random(9500)
+    truncated = 0
+    for i in range(150):
+        term = random_stabilizing(rng) if i % 2 else random_ccsm(rng, rng.randint(2, 8))
+        lts = build_lts(term, Bounds(rng.randint(3, 60), rng.randint(2, 12)))
+        truncated += lts.truncated
+        assert lts.diverges == old_divergence_flags(lts)
+    assert truncated >= 40
+    # growth witnesses: the growth pair cut off early
+    lts = union_lts([parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")], Bounds(8, 3))
+    assert lts.truncated and DIV_YES in lts.diverges
+    assert lts.diverges == old_divergence_flags(lts)
+
+
+# ---------------------------------------------------------------------------
+# The SCC pass is iterative
+
+N_LONG = 10**4
+
+
+def _silent_graph(edges, n):
+    states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
+    edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
+    lts = Lts(states, edges, (0,), False, frozenset(), [0] * n)
+    lts.diverges = _divergence_flags(lts)
+    return lts
+
+
+@pytest.mark.parametrize("shape", ["chain", "cycle"])
+def test_long_silent_paths_refine_without_recursion(shape):
+    assert N_LONG > sys.getrecursionlimit()
+    a = Action("in", "a")
+    edges = [(i, TAU, i + 1) for i in range(N_LONG - 1)]
+    if shape == "cycle":
+        edges.append((N_LONG - 1, TAU, 0))
+    edges.append((N_LONG - 1, a, N_LONG - 1))
+    lts = _silent_graph(edges, N_LONG)
+    sccs = lts.silent_sccs()
+    assert len(sccs.members) == (N_LONG if shape == "chain" else 1)
+    assert set(lts.diverges) == {DIV_NO if shape == "chain" else DIV_YES}
+    for kind in ("weak", "branching"):
+        part = compute_partition(lts, kind)
+        assert set(part.block_of) == {0}  # every state weakly reaches the one a-loop
+    tc = classify_tau(lts)
+    assert set(tc.edge_labels.values()) == {"state-preserving"} and set(tc.k) == {0}
+
+
+def test_distinguishing_evidence_builds_closures_only_when_read(monkeypatch):
+    built = []
+    real = evidence.closures
+    monkeypatch.setattr(evidence, "closures", lambda lts: built.append(lts) or real(lts))
+    lts = union_lts([parse("a.b.0"), parse("a.c.0")])
+    for kind, count in (("strong", 0), ("weak", 1), ("branching", 1), ("quasi-strong", 1)):
+        built.clear()
+        evidence.distinguishing_evidence(lts, lts.initials[0], lts.initials[-1], kind)
+        assert len(built) == count, kind
