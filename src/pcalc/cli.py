@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 equivalent/true/certified, 1 inequivalent/false/refuted,
-2 unknown or bound exhausted, 3 usage or input error.
+2 unknown or bound exhausted, 3 usage or input error, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 
 from . import corpus, genterms
 from .equivalence import CCSM_KINDS, compute_partition, classify_tau, decide
@@ -31,6 +33,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 CHECK_KINDS = ("sc",) + CCSM_KINDS + ("context-strong", "context-weak")
 
@@ -318,6 +321,11 @@ def run(argv=None) -> int:
     except (ParseError, DialectMismatch, OpenTermError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a failure of pcalc itself, never a verdict
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = f"{type(exc).__name__}: {exc}".splitlines()[0]
+        print(f"internal error: {message} (at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -1,16 +1,15 @@
 """Behavioral equivalence checkers over complete graphs, plus bounded
 on-the-fly games for graphs that cannot be fully explored.
 
-Five relations are supported, all divergence-sensitive: strong, weak and
-branching bisimilarity are computed as partitions by signature refinement;
-quasi-strong and quasi-strong-branching bisimilarity are computed as pair
-relations by a support-driven worklist fixpoint. Refuted pairs come with a
-minimal, replayable attacker trace, built from ranks searched on demand.
+Five relations are supported, all divergence-sensitive and all computed by
+one signature-refinement loop: strong, weak, branching, quasi-strong and
+quasi-strong-branching bisimilarity; the last two are reported as pair
+relations, refined from the weak or branching classes. Refuted pairs come with
+a minimal, replayable attacker trace, built from ranks searched on demand.
 
-One refinement loop serves every partition. A strong signature is read off a
-state's own moves. Weak and branching signatures are built once per
-silent-step SCC, sinks first, from the SCC's own moves and the signatures of
-the SCCs its silent steps lead to, so refinement reads no weak closures.
+A strong signature is read off a state's own moves. The others are built once
+per silent-step SCC, sinks first, from the SCC's own moves and the signatures
+of the SCCs its silent steps lead to, so refinement reads no weak closures.
 """
 
 from __future__ import annotations
@@ -58,11 +57,7 @@ class Partition:
         return tuple(tuple(g) for _b, g in sorted(groups.items()))
 
     def pairs(self) -> frozenset:
-        out = set()
-        for block in self.blocks:
-            for i, j in itertools.combinations(block, 2):
-                out.add((i, j))
-        return frozenset(out)
+        return frozenset(p for block in self.blocks for p in itertools.combinations(block, 2))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
@@ -73,7 +68,6 @@ class PairRelation:
     kind: str
     pairs: frozenset  # normalized (i, j) with i <= j, identity included
     iterations: int = 0
-    checks: int = 0
 
     def relates(self, s: int, t: int) -> bool:
         return (min(s, t), max(s, t)) in self.pairs
@@ -205,15 +199,35 @@ def _strong_signatures(lts: Lts):
     return lambda block_of: [frozenset((a, block_of[t]) for a, t in row) for row in moves]
 
 
-def _silent_signatures(lts: Lts, kind: str):
-    """Weak or branching signatures, built once per silent SCC, sinks first.
+# Quasi-strong and qs-branching bisimilarity match a silent step with exactly
+# one silent step, and a visible step s -a-> s' with t => m -a-> t' (for
+# qs-branching, with m related to s).
+# - The largest such bisimulation is an equivalence: R1;R2 is again one,
+#   because each silent step is matched by exactly one silent step. If
+#   p R1 q R2 r and q => m -a-> q' matches p -a-> p', r matches q => m step
+#   by step, r => m2 with m R2 m2, and m2 => m3 -a-> r' matches m -a-> q';
+#   so p' R1;R2 r', and for qs-branching p R1 m R2 m3.
+# - So it is the coarsest partition, split by the divergence flag, stable under
+#     quasi-strong: sig(s) = {(tau,[t]) | s -tau-> t} | {(a,[t]) | s => -a-> t}
+#     qs-branching: the visible part is {(a,[t]) | s => m -a-> t, [m] = [s]}.
+#   A partition stable under sig is a bisimulation: s -a-> s' is itself an
+#   (a,[s']) entry of sig(s). In the largest one, t matches a path s => m step
+#   by step up to some t_m ~ m, which answers m -a-> t by t_m => m' -a-> t'
+#   with m' ~ m. So related states have equal signatures, and refinement from
+#   the seed never separates them. Only the last mid has to be in the own
+#   block; the path to it may leave the block.
 
-    The members of a silent SCC share a block in every round: they start with
-    one divergence flag, and as they reach the same states silently, a round
-    gives them one signature. So a signature is read off the SCC's own
-    visible moves and the SCCs its silent steps exit to (`exits`), whose
-    signatures are already built, and the block of an SCC is that of its
-    first member.
+
+def _silent_signatures(lts: Lts, kind: str):
+    """Weak, branching, quasi-strong or qs-branching signatures, built once
+    per silent SCC, sinks first, from the SCC's own visible moves and the
+    SCCs its silent steps exit to (`exits`), whose signatures are already
+    built.
+
+    Under weak and branching, the members of a silent SCC share a block in
+    every round: they start with one divergence flag, and as they reach the
+    same states silently, a round gives them one signature. So the block of
+    an SCC is that of its first member.
 
     - weak: the blocks reached silently, and per visible action a the blocks
       reached by =>a=>, as bitmasks over block ids.
@@ -221,10 +235,14 @@ def _silent_signatures(lts: Lts, kind: str):
       block, as (action code, block) codes. A silent exit into the own block
       is inert: that SCC's signature is part of this one. This is the set a
       search from each member along silent steps inside its block would find.
+    - quasi-strong, qs-branching (see above): per state, its silent
+      successors' blocks, and the => -a-> moves its SCC shares, as bitmasks
+      over the codes a * width + [t], keyed by the mid's block for
+      qs-branching (by 0 otherwise), kept for the keys read at or above it.
     """
     sccs = lts.silent_sccs()
     moves = _coded_moves(lts)
-    visible = [[(a, t) for u in scc for a, t in moves[u] if a] for scc in sccs.members]
+    visible = [[(u, a, t) for u in scc for a, t in moves[u] if a] for scc in sccs.members]
     first = [scc[0] for scc in sccs.members]
     of, exits = sccs.of, sccs.exits
 
@@ -241,7 +259,7 @@ def _silent_signatures(lts: Lts, kind: str):
             for d in exits[c]:
                 for a, m in after[d].items():
                     w[a] = w.get(a, 0) | m
-            for a, t in visible[c]:
+            for _u, a, t in visible[c]:
                 w[a] = w.get(a, 0) | reach[of[t]]
             after.append(w)
         return [(r, tuple(sorted(w.items()))) for r, w in zip(reach, after)]
@@ -251,7 +269,7 @@ def _silent_signatures(lts: Lts, kind: str):
         out = []
         for c, f in enumerate(first):
             own = block_of[f]
-            sig = {a * width + block_of[t] for a, t in visible[c]}
+            sig = {a * width + block_of[t] for _u, a, t in visible[c]}
             for d in exits[c]:
                 b = block_of[first[d]]
                 if b == own:
@@ -261,6 +279,32 @@ def _silent_signatures(lts: Lts, kind: str):
             out.append(frozenset(sig))
         return out
 
+    def quasi_strong(block_of):
+        key = block_of if kind == "qs-branching" else [0] * len(of)
+        width = max(block_of, default=0) + 1
+        need = [0] * len(first)  # per SCC: bitmask of the keys read at or above it
+        for c in reversed(range(len(first))):
+            for u in sccs.members[c]:
+                need[c] |= 1 << key[u]
+            for d in exits[c]:
+                need[d] |= need[c]
+        after = []  # per SCC: key -> bitmask of the => -a-> codes
+        for c in range(len(first)):
+            w = {}
+            for d in exits[c]:
+                for b, m in after[d].items():
+                    if need[c] >> b & 1:
+                        w[b] = w.get(b, 0) | m
+            for u, a, t in visible[c]:
+                w[key[u]] = w.get(key[u], 0) | 1 << (a * width + block_of[t])
+            after.append(w)
+        return [
+            (frozenset(block_of[t] for a, t in row if not a), after[of[s]].get(key[s], 0))
+            for s, row in enumerate(moves)
+        ]
+
+    if kind in PAIR_KINDS:
+        return quasi_strong
     per_scc = weak if kind == "weak" else branching
 
     def signatures(block_of):
@@ -270,8 +314,35 @@ def _silent_signatures(lts: Lts, kind: str):
     return signatures
 
 
+def pair_gfp(lts: Lts, kind: str, seed_pairs) -> PairRelation:
+    """Largest kind-bisimulation within the seed, the pairs of an equivalence:
+    the seed's classes, split by the divergence flag and refined by kind
+    signatures. `iterations` counts the refinement rounds."""
+    if lts.truncated:
+        raise TruncatedInput("pair relations need a complete graph")
+    n = lts.num_states()
+    least = list(range(n))  # the least member of each state's seed class
+    for pair in seed_pairs:
+        i, j = sorted(pair)
+        least[j] = min(least[j], i)
+    part = _refine(lts, kind, _index_groups(list(zip(least, lts.diverges))))
+    return PairRelation(kind, part.pairs() | {(s, s) for s in range(n)}, part.iterations)
+
+
+def relation_pairs(lts: Lts, kind: str, parts: dict = None):
+    """Normalized equivalent-pair set for any of the five kinds."""
+    if kind in PARTITION_KINDS:
+        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind)
+        return part.pairs() | {(s, s) for s in range(lts.num_states())}, part
+    # each pair kind lies within its transfer style's partition kind
+    base = "weak" if kind == "quasi-strong" else "branching"
+    seed = parts[base] if parts and base in parts else compute_partition(lts, base)
+    rel = pair_gfp(lts, kind, seed.pairs())
+    return rel.pairs, rel
+
+
 # ---------------------------------------------------------------------------
-# Pair-relation greatest fixpoints
+# Refutation: ranked attacker game and trace extraction
 #
 # A challenge is an attacker move (side, action, derivative, challenger,
 # defender). A defender answer is a tuple of continuation pairs; the attacker
@@ -313,72 +384,6 @@ def _answers(lts: Lts, cls: Closures, kind: str, challenge):
             yield (orient(chal, mid), orient(deriv, t))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-
-
-def pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairRelation:
-    """Largest kind-bisimulation contained in the seed (normalized pairs).
-
-    A worklist fixpoint (Liu & Smolka, ICALP 1998): a check generates each
-    challenge's answers only up to the first whose continuations all survive,
-    which become the pair's support; deleting a pair re-checks only the pairs
-    it supported. `iterations` counts waves (the first full pass, then each
-    re-check wave) and `checks` the pair checks run.
-    """
-    if lts.truncated:
-        raise TruncatedInput("pair relations need a complete graph")
-    if cls is None:
-        cls = closures(lts)
-    # both orientations, so an oriented continuation is looked up as it is
-    R = {(s, s) for s in range(lts.num_states())}
-    R.update(p for i, j in seed_pairs for p in ((i, j), (j, i)))
-    supporters = {}  # oriented continuation -> pairs whose check relied on it
-
-    def holds(pair):
-        if lts.diverges[pair[0]] != lts.diverges[pair[1]]:
-            return False
-        support = set()
-        for ch in _challenges(lts, pair):
-            ans = next((ans for ans in _answers(lts, cls, kind, ch) if R.issuperset(ans)), None)
-            if ans is None:
-                return False
-            support.update(ans)
-        for c in support:
-            if c[0] != c[1]:
-                supporters.setdefault(c, []).append(pair)
-        return True
-
-    pending = sorted(p for p in R if p[0] < p[1])
-    waves = checks = 0
-    while pending:
-        waves += 1
-        checks += len(pending)
-        woken = set()
-        for pair in pending:
-            if not holds(pair):
-                R.difference_update((pair, pair[::-1]))
-                woken.update(supporters.pop(pair, ()), supporters.pop(pair[::-1], ()))
-        pending = sorted(woken & R)
-    return PairRelation(kind, frozenset(p for p in R if p[0] <= p[1]), waves, checks)
-
-
-def relation_pairs(lts: Lts, kind: str, parts: dict = None, cls: Closures = None):
-    """Normalized equivalent-pair set for any of the five kinds."""
-    if kind in PARTITION_KINDS:
-        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind)
-        pairs = set(part.pairs())
-        pairs.update((s, s) for s in range(lts.num_states()))
-        return frozenset(pairs), part
-    if kind == "quasi-strong":
-        weak = parts["weak"] if parts and "weak" in parts else compute_partition(lts, "weak")
-        rel = pair_gfp(lts, kind, weak.pairs(), cls)
-    else:
-        bran = parts["branching"] if parts and "branching" in parts else compute_partition(lts, "branching")
-        rel = pair_gfp(lts, kind, bran.pairs(), cls)
-    return rel.pairs, rel
-
-
-# ---------------------------------------------------------------------------
-# Refutation: ranked attacker game and trace extraction
 
 
 class _RankSearch:
@@ -506,14 +511,17 @@ def check_pair(lts: Lts, s: int, t: int, kind: str) -> Verdict:
         raise ValueError(f"check_pair handles {PAIR_KINDS}, not {kind!r}")
     if lts.truncated:
         raise TruncatedInput("check_pair needs a complete graph")
-    cls = closures(lts)
-    pairs, rel = relation_pairs(lts, kind, cls=cls)
-    stats = {"states": lts.num_states(), "iterations": rel.iterations, "gfp_checks": rel.checks}
-    if (min(s, t), max(s, t)) in pairs:
-        return Verdict("equivalent", kind, witness=rel, stats=stats)
-    trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs, cls)
+    return _verdict(lts, s, t, relation_pairs(lts, kind)[1])
+
+
+def _verdict(lts: Lts, s: int, t: int, rel) -> Verdict:
+    """A pair's verdict from its kind's relation: it as witness, or a minimal attacker trace."""
+    stats = {"states": lts.num_states(), "iterations": rel.iterations}
+    if rel.relates(s, t):
+        return Verdict("equivalent", rel.kind, witness=rel, stats=stats)
+    trace = extract_trace(lts, rel.kind, (s, t), rel.relates)
     stats["rank_pairs"] = trace.rank_pairs
-    return Verdict("inequivalent", kind, trace=trace, stats=stats)
+    return Verdict("inequivalent", rel.kind, trace=trace, stats=stats)
 
 
 @dataclass
@@ -615,33 +623,28 @@ class CoincidenceReport:
 def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
-    cls = closures(lts)
     parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
-    weak_pairs, _ = relation_pairs(lts, "weak", parts)
-    strong_pairs, _ = relation_pairs(lts, "strong", parts)
-    branching_pairs, _ = relation_pairs(lts, "branching", parts)
-    qs_pairs, _ = relation_pairs(lts, "quasi-strong", parts, cls)
-    qsb_pairs, _ = relation_pairs(lts, "qs-branching", parts, cls)
+    pairs = {k: relation_pairs(lts, k, parts)[0] for k in CCSM_KINDS}
+    weak, qs = pairs["weak"], pairs["quasi-strong"]
     violations = []
 
     def diff(name, left, right):
         for pair in sorted(left ^ right):
             violations.append({"relation": name, "pair": list(pair)})
 
-    diff("weak vs quasi-strong", weak_pairs, qs_pairs)
-    diff("weak vs qs-branching", weak_pairs, qsb_pairs)
-    diff("weak vs branching", weak_pairs, branching_pairs)
-    for pair in sorted(strong_pairs - qs_pairs):
+    for other in ("quasi-strong", "qs-branching", "branching"):
+        diff(f"weak vs {other}", weak, pairs[other])
+    for pair in sorted(pairs["strong"] - qs):
         violations.append({"relation": "strong not within quasi-strong", "pair": list(pair)})
-    for pair in sorted(qs_pairs - weak_pairs):
+    for pair in sorted(qs - weak):
         violations.append({"relation": "quasi-strong not within weak", "pair": list(pair)})
     return CoincidenceReport(
         lts.num_states(),
-        weak_pairs == qs_pairs,
-        weak_pairs == qsb_pairs,
-        weak_pairs == branching_pairs,
-        strong_pairs <= qs_pairs,
-        qs_pairs <= weak_pairs,
+        weak == qs,
+        weak == pairs["qs-branching"],
+        weak == pairs["branching"],
+        pairs["strong"] <= qs,
+        qs <= weak,
         violations,
     )
 
@@ -852,16 +855,8 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     stats = {"states": lts.num_states()}
     if not lts.truncated:
         if kind in PARTITION_KINDS:
-            part = compute_partition(lts, kind)
-            stats["iterations"] = part.iterations
-            if part.relates(s, t):
-                return Verdict("equivalent", kind, witness=part, stats=stats)
-            trace = extract_trace(lts, kind, (s, t), part.relates)
-            stats["rank_pairs"] = trace.rank_pairs
-            return Verdict("inequivalent", kind, trace=trace, stats=stats)
-        verdict = check_pair(lts, s, t, kind)
-        verdict.stats.update(stats)
-        return verdict
+            return _verdict(lts, s, t, compute_partition(lts, kind))
+        return check_pair(lts, s, t, kind)
     # truncated: sound refutations only
     div_l, div_r = lts.diverges[s], lts.diverges[t]
     if {div_l, div_r} == {semantics.DIV_YES, semantics.DIV_NO}:

@@ -410,10 +410,10 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
     modal distinguishing formula is synthesized too when one exists."""
     if lts.truncated:
         raise equivalence.TruncatedInput("evidence extraction needs a complete graph")
-    cls = None if kind == "strong" else closures(lts)
-    pairs, _rel = relation_pairs(lts, kind, cls=cls)
+    pairs, _rel = relation_pairs(lts, kind)
     if (min(s, t), max(s, t)) in pairs:
         raise InvalidRequest("states are equivalent under this kind")
+    cls = None if kind == "strong" else closures(lts)
     trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs, cls)
     replay_trace(trace, tau_bound=lts.num_states())
     formula = distinguishing_formula(lts, s, t) if kind == "strong" else None

@@ -68,7 +68,7 @@ def test_check_pair_file(tmp_path, capsys):
     capsys.readouterr()
     assert run(["check", "--equiv", "quasi-strong", "--json", pair]) == 1
     stats = json.loads(capsys.readouterr().out)["stats"]
-    assert "gfp_checks" in stats and stats["rank_pairs"] >= 1
+    assert stats["iterations"] >= 1 and stats["rank_pairs"] >= 1
 
 
 def test_check_context_kinds(tmp_path, capsys):
@@ -186,6 +186,17 @@ def test_probe_replfree(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["probed"] == 20
     assert "strong_equals_weak_everywhere" in blob
+
+
+def test_internal_errors_exit_4_not_a_verdict(tmp_path, capsys):
+    # These terms are too deep for the recursive walks: the crash must not
+    # exit 1, which means "inequivalent / false".
+    deep_parse = write(tmp_path, "deep.proc", "a." * 3000 + "0\n")
+    deep_diverges = write(tmp_path, "deep900.proc", "a." * 900 + "0\n")
+    for argv in (["parse", deep_parse], ["diverges", deep_diverges]):
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and err.count("\n") == 1
 
 
 def test_usage_errors():

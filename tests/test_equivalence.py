@@ -200,7 +200,10 @@ def test_decide_builds_closures_once_and_only_when_read(monkeypatch):
         ("weak", same): 0,  # refinement reads no closures
         ("branching", differ): 1,  # read by the trace only
         ("branching", same): 0,
-        ("quasi-strong", differ): 1,
+        ("quasi-strong", differ): 1,  # read by the trace only
+        ("quasi-strong", same): 0,  # refinement reads no closures
+        ("qs-branching", same): 0,
+        ("qs-branching", differ): 1,
     }
     for (kind, pair), count in expected.items():
         built.clear()

@@ -2,8 +2,9 @@
 
 The reference below is the earlier round-based implementation, kept verbatim:
 list-building answers, naive pair deletion, and ranks computed over the
-whole reachable pair universe, one rank per round. The on-demand versions in
-`pcalc.equivalence` must give the same pair sets and the same traces.
+whole reachable pair universe, one rank per round. The signature refinement
+and the on-demand rank search in `pcalc.equivalence` must give the same pair
+sets and the same traces.
 """
 
 import random
@@ -21,8 +22,8 @@ from pcalc.equivalence import (
     extract_trace,
     pair_gfp,
 )
-from pcalc.genterms import random_graph_lts
-from pcalc.semantics import Action, Bounds, Closures, Lts, closures
+from pcalc.genterms import finite_state_corpus, random_graph_lts
+from pcalc.semantics import Action, Bounds, Closures, Lts, build_lts, closures
 from pcalc.syntax import parse
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def _relations(lts, cls):
             part = compute_partition(lts, kind)
             pairs = set(part.pairs()) | {(s, s) for s in range(lts.num_states())}
         else:
-            new = pair_gfp(lts, kind, everything, cls)
+            new = pair_gfp(lts, kind, everything)
             ref = ref_pair_gfp(lts, kind, everything, cls)
             assert new.pairs == ref.pairs, kind
             pairs = new.pairs
@@ -267,7 +268,7 @@ def test_on_demand_game_matches_reference_on_random_graphs():
             if kind in ("quasi-strong", "qs-branching"):
                 base = "weak" if kind == "quasi-strong" else "branching"
                 seed_pairs = compute_partition(lts, base).pairs()
-                assert pair_gfp(lts, kind, seed_pairs, cls).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls).pairs
+                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls).pairs
                 fixpoints += 1
 
             def relates(a, b, pairs=pairs):
@@ -285,17 +286,33 @@ def test_on_demand_game_matches_reference_on_random_graphs():
     assert refuted > 1000
 
 
-def test_gfp_checks_each_pair_of_a_bisimulation_once():
+def test_refinement_matches_reference_on_term_graphs():
+    # replication gives these graphs silent SCCs, whose members share their
+    # delay moves but need not share a block
+    fixpoints = cyclic = 0
+    for term in finite_state_corpus(random.Random(5), 60):
+        lts = build_lts(term, Bounds(200, 64))
+        cls = closures(lts)
+        cyclic += any(lts.silent_sccs().cyclic)
+        everything = [(i, j) for i in range(lts.num_states()) for j in range(i + 1, lts.num_states())]
+        for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):
+            for seed_pairs in (everything, compute_partition(lts, base).pairs()):
+                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls).pairs
+                fixpoints += 1
+    assert fixpoints == 4 * 60
+    assert cyclic > 0
+
+
+def test_gfp_seeded_with_its_own_result_is_stable_in_one_round():
     lts = random_graph_lts(random.Random(7), max_states=14)
     everything = [(i, j) for i in range(lts.num_states()) for j in range(i + 1, lts.num_states())]
-    rel = pair_gfp(lts, "quasi-strong", everything)
-    assert rel.checks >= len(everything)
-    kept = [p for p in rel.pairs if p[0] != p[1]]
-    assert kept
-    # seeded with its own result nothing is deleted: one wave, one check per pair
-    again = pair_gfp(lts, "quasi-strong", kept)
-    assert again.pairs == rel.pairs
-    assert (again.iterations, again.checks) == (1, len(kept))
+    for kind in ("quasi-strong", "qs-branching"):
+        rel = pair_gfp(lts, kind, everything)
+        kept = [p for p in rel.pairs if p[0] != p[1]]
+        assert kept
+        again = pair_gfp(lts, kind, kept)
+        assert again.pairs == rel.pairs
+        assert again.iterations == 1
 
 
 def test_deep_refutation_needs_no_recursion():
