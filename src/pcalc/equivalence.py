@@ -1,5 +1,7 @@
 """Behavioral equivalence checkers over complete graphs, plus bounded
-on-the-fly games for graphs that cannot be fully explored.
+on-the-fly games for graphs that cannot be fully explored. One attacker search
+over terms and one lazy silent-closure helper serve the first-order game, the
+higher-order context game (`hocore`), trace replay and certificates.
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -657,104 +659,121 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
 # to this depth". Defender weak moves explore at most tau_bound silent steps
 # on each side of the answer.
 
-_TAU_CAP = 4096
 
-
-class _OnTheFly:
-    """Depth-bounded attacker search directly over terms.
-
-    Defender responses are memoised per (defender, action), independent of
-    which side challenged: each is a (mid, target) pair, where mid None stands
-    for the answer with the single continuation (derivative, target), and
-    otherwise for the branching-style answer with continuations (challenger,
-    mid) and (derivative, target). Positions are oriented (left, right).
+class SilentClosures(dict):
+    """Silent closures of terms through `step`, keyed by root. Each is
+    explored breadth-first on demand and holds at most `cap` states, none more
+    than `bound` silent steps from its root (no depth limit when bound is
+    None).
     """
 
-    def __init__(self, kind, tau_bound):
-        self.kind = kind
-        self.tau_bound = tau_bound
+    def __init__(self, step, bound, cap):
+        super().__init__()
+        self.step, self.bound, self.cap = step, bound, cap
+
+    def __missing__(self, root):
+        self[root] = closure = _Closure(root, self)
+        return closure
+
+
+class _Closure:
+    """Iterating yields the states in breadth-first order, exploring only as
+    far as it is read; `states()` reads the whole closure."""
+
+    def __init__(self, root, owner: SilentClosures):
+        self.owner = owner
+        self.depth = {root: 0}
+        self.order = [root]  # breadth-first; the states before pos are expanded
+        self.pos = 0
+        self.cut = False  # a silent step was left out by the bound or the cap
+        self._states = None
+
+    def _expand(self) -> bool:
+        """Expands the next state in order; False when every state is expanded."""
+        if self.pos == len(self.order):
+            return False
+        u = self.order[self.pos]
+        self.pos += 1
+        inside = self.owner.bound is None or self.depth[u] < self.owner.bound
+        for a, t in self.owner.step(u):
+            if a.is_tau and t not in self.depth:
+                if inside and len(self.order) < self.owner.cap:
+                    self.depth[t] = self.depth[u] + 1
+                    self.order.append(t)
+                else:
+                    self.cut = True
+        return True
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.order) or self._expand():
+            if i < len(self.order):
+                yield self.order[i]
+                i += 1
+
+    def states(self):
+        """All the states in term order, and whether no silent step was cut off."""
+        if self._states is None:
+            self._states = (tuple(sorted(self, key=term_key)), not self.cut)
+        return self._states
+
+
+class _Game:
+    """Depth-bounded attacker search directly over terms, for any calculus.
+
+    A subclass supplies the moves: `step(p)`, p's (action, derivative) moves
+    in (action, derivative) order; `respond(defn, action)`, the defender's
+    responses to an action, whichever side challenged, and whether a silent
+    closure they read was cut short; and `answer(response, chal, action,
+    deriv)`, the continuations a response offers to chal -action-> deriv, as
+    ((challenger, defender), label) pairs in the order the attacker tries them.
+    Responses are memoised per (defender, action), challenges per position,
+    and `safe` across deepening budgets. Positions are oriented (left, right).
+    """
+
+    def __init__(self, tau_bound, cap):
+        self.closures = SilentClosures(self.step, tau_bound, cap)
         self.safe = {}  # position -> a budget within which it has no refutation
-        self._closures = {}
         self._responses = {}
         self._challenges = {}
         self.positions = self.memo_hits = self.closures_cut = 0
 
-    def closure(self, p):
-        """States within tau_bound silent steps of p, at most _TAU_CAP of them,
-        in term order; and whether a silent step was cut off by either bound."""
-        hit = self._closures.get(p)
-        if hit is not None:
-            return hit
-        seen = {p: 0}
-        order = [p]
-        cut = False
-        for u in order:  # breadth-first: order grows while it is read
-            if seen[u] >= self.tau_bound:
-                # the last layer: nothing is added from here on
-                cut = cut or any(a.is_tau and t not in seen for a, t in step(u))
-                continue
-            for a, t in step(u):
-                if a.is_tau and t not in seen:
-                    if len(seen) < _TAU_CAP:
-                        seen[t] = seen[u] + 1
-                        order.append(t)
-                    else:
-                        cut = True
-        hit = (tuple(sorted(seen, key=term_key)), cut)
-        self._closures[p] = hit
-        return hit
-
-    def tau_closure(self, p):
-        return self.closure(p)[0]
-
     def responses(self, defn, action):
-        """The defender's answers to an `action` challenge, as (mid, target) pairs."""
         key = (defn, action)
         out = self._responses.get(key)
-        if out is not None:
-            return out
-        kind = self.kind
-        cut = False
-        # the quasi-strong styles match a silent move with exactly one silent step
-        if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
-            out = tuple((None, t) for a, t in step(defn) if a == action)
-        else:
-            pres, cut = self.closure(defn)
-            if kind == "weak" and action.is_tau:
-                out = tuple((None, t) for t in pres)
-            elif kind == "weak":
-                targets = {}
-                for pre in pres:
-                    for a, mid in step(pre):
-                        if a == action:
-                            after, after_cut = self.closure(mid)
-                            cut = cut or after_cut
-                            targets.update(dict.fromkeys(after))
-                out = tuple((None, t) for t in targets)
-            elif kind == "quasi-strong":
-                targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
-                out = tuple((None, t) for t in targets)
-            elif kind in ("branching", "qs-branching"):
-                out = ((None, defn),) if action.is_tau else ()
-                out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-        self.closures_cut += cut
-        self._responses[key] = out
+        if out is None:
+            out, cut = self.respond(defn, action)
+            self.closures_cut += cut
+            self._responses[key] = out
         return out
+
+    def weak_moves(self, defn, matches):
+        """defn's moves => -a-> => with matches(a), as distinct (a, target)
+        pairs in closure order, and whether every closure read is complete."""
+        pres, complete = self.closures[defn].states()
+        out = {}
+        for pre in pres:
+            for a, mid in self.step(pre):
+                if matches(a):
+                    after, done = self.closures[mid].states()
+                    complete = complete and done
+                    out.update(dict.fromkeys([(a, t) for t in after]))
+        return tuple(out), complete
 
     def challenges(self, l, r):
         """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
         out = self._challenges.get((l, r))
         if out is None:
             # step lists moves in (action, derivative) order; the sort is stable
-            out = [("left", a, d) for a, d in step(l)] + [("right", a, d) for a, d in step(r)]
+            out = [("left", a, d) for a, d in self.step(l)] + [("right", a, d) for a, d in self.step(r)]
             out.sort(key=lambda ch: (ch[1].sort_key(), ch[0]))
             self._challenges[(l, r)] = out
         return out
 
     def attack(self, l, r, budget):
-        """Refutation steps from (l, r) within budget, or None.
+        """Refutation steps from (l, r) within budget, or None. Each step is
+        (side, action, continuation, label); the last has no continuation: the
+        defender cannot answer it.
 
         The result depends on (l, r, budget) only: `safe` records only true
         facts, and no refutation within a budget means none within less.
@@ -769,28 +788,85 @@ class _OnTheFly:
             chal, defn = (l, r) if side == "left" else (r, l)
             responses = self.responses(defn, action)
             if not responses:
-                return [(side, action, None, False)]
+                return [(side, action, None, None)]
             # every answer must offer a refutable continuation
             per_answer = []
-            for mid, t in responses:
-                ans = ((deriv, t),) if mid is None else ((chal, mid), (deriv, t))
-                if side == "right":
-                    ans = tuple(c[::-1] for c in ans)
-                chosen = None
-                for cont in ans:
+            for response in responses:
+                for cont, label in self.answer(response, chal, action, deriv):
+                    if side == "right":
+                        cont = cont[::-1]
                     tail = self.attack(cont[0], cont[1], budget - 1)
                     if tail is not None:
-                        chosen = (cont, tail, len(ans) > 1 and cont == ans[0])
+                        per_answer.append((cont, label, tail))
                         break
-                if chosen is None:
+                else:
                     break
-                per_answer.append(chosen)
             else:
                 # show the defender answer whose refutation is longest
-                cont, tail, rolled = max(per_answer, key=lambda c: len(c[1]))
-                return [(side, action, cont, rolled)] + tail
+                cont, label, tail = max(per_answer, key=lambda c: len(c[2]))
+                return [(side, action, cont, label)] + tail
         self.safe[(l, r)] = budget
         return None
+
+    def play(self, p, q, depth):
+        """The refutation found first by deepening the budget up to depth, or
+        None; and the game's stats."""
+        found = None
+        for budget in range(1, depth + 1):
+            found = self.attack(p, q, budget)
+            if found is not None:
+                break
+        stats = {
+            "depth": depth,
+            "game_positions": self.positions,
+            "memo_hits": self.memo_hits,
+            "responses": len(self._responses),
+            "closures_cut": self.closures_cut,
+        }
+        return found, stats
+
+
+class _OnTheFly(_Game):
+    """The first-order game: `step` and the transfer clause of each kind.
+
+    A response is a (mid, target) pair. Mid None stands for the answer with the
+    single continuation (derivative, target); otherwise for the
+    branching-style answer whose continuations are (challenger, mid), labelled
+    rolled back, and (derivative, target).
+    """
+
+    step = staticmethod(step)
+
+    def __init__(self, kind, tau_bound):
+        super().__init__(tau_bound, 4096)
+        self.kind = kind
+
+    def respond(self, defn, action):
+        kind = self.kind
+        # the quasi-strong styles match a silent move with exactly one silent step
+        if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
+            return tuple((None, t) for a, t in step(defn) if a == action), False
+        if kind == "weak" and not action.is_tau:
+            moves, complete = self.weak_moves(defn, lambda a: a == action)
+            return tuple((None, t) for _a, t in moves), not complete
+        pres, complete = self.closures[defn].states()
+        if kind == "weak":
+            out = tuple((None, t) for t in pres)
+        elif kind == "quasi-strong":
+            targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
+            out = tuple((None, t) for t in targets)
+        elif kind in ("branching", "qs-branching"):
+            out = ((None, defn),) if action.is_tau else ()
+            out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        return out, not complete
+
+    def answer(self, response, chal, action, deriv):
+        mid, t = response
+        if mid is None:
+            return (((deriv, t), False),)
+        return (((chal, mid), True), ((deriv, t), False))
 
 
 def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None) -> Verdict:
@@ -805,37 +881,13 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
     p, q = canonicalize(p), canonicalize(q)
     if tau_bound is None:
         tau_bound = max(depth, 4)
-    game = _OnTheFly(kind, tau_bound)
-    found = None
-    for budget in range(1, depth + 1):
-        found = game.attack(p, q, budget)
-        if found is not None:
-            break
-    stats = {
-        "depth": depth,
-        "game_positions": game.positions,
-        "memo_hits": game.memo_hits,
-        "responses": len(game._responses),
-        "closures_cut": game.closures_cut,
-    }
+    found, stats = _OnTheFly(kind, tau_bound).play(p, q, depth)
     if found is None:
-        return Verdict(
-            "unknown",
-            kind,
-            bound_report={"no_distinction_up_to": depth, "tau_bound": tau_bound},
-            stats=stats,
-        )
-    steps = []
-    cur = (p, q)
-    reason = "no-match"
-    final_side, final_action = "", None
-    for side, action, cont, rolled in found:
-        if cont is None:
-            final_side, final_action = side, action
-            break
-        steps.append(TraceStep(side, action, cont, rolled_back=rolled))
-        cur = cont
-    trace = AttackerTrace(kind, (p, q), tuple(steps), reason, final_side, final_action)
+        bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
+        return Verdict("unknown", kind, bound_report=bound, stats=stats)
+    *moves, (final_side, final_action, _, _) = found
+    steps = tuple(TraceStep(side, action, cont, rolled_back=rolled) for side, action, cont, rolled in moves)
+    trace = AttackerTrace(kind, (p, q), steps, "no-match", final_side, final_action)
     return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 

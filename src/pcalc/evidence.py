@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
-from .equivalence import AttackerTrace, InvalidRequest, compute_partition, extract_trace, relation_pairs
+from .equivalence import AttackerTrace, InvalidRequest, SilentClosures, compute_partition, extract_trace, relation_pairs
 from .semantics import Action, Bounds, Lts, build_lts, closures, components, step, union_lts
 from .syntax import Term, canonical_par, canonicalize, parse, render, term_key
 
@@ -120,87 +120,32 @@ class KnownEquivalence:
         return i is not None and j is not None and self.partition.relates(i, j)
 
 
-class _LazyClosure:
-    """Silent closure of one term, explored breadth-first on demand."""
+def _weak_answers(closures: SilentClosures, q: Term, action: Action):
+    """q's weak answers to an action, lazily, closest first, at most
+    closures.cap of them; and a function that tells, once they are drained,
+    whether they are all of them."""
+    used = [closures[q]]
+    capped = False
 
-    def __init__(self, root: Term, budget: int):
-        self.budget = budget
-        self.order = [root]
-        self.seen = {root}
-        self.pos = 0
-        self.capped = False
+    def answers():
+        nonlocal capped
+        if action.is_tau:
+            yield from used[0]
+            return
+        emitted = set()
+        for u in used[0]:
+            for v in [v for a, v in step(u) if a == action]:
+                post = closures[v]
+                used.append(post)
+                for w in post:
+                    if w not in emitted:
+                        emitted.add(w)
+                        yield w
+                    if len(emitted) >= closures.cap:
+                        capped = True
+                        return
 
-    def _extend(self) -> bool:
-        if self.pos >= len(self.order):
-            return False
-        u = self.order[self.pos]
-        self.pos += 1
-        for a, t in step(u):
-            if not a.is_tau or t in self.seen:
-                continue
-            if len(self.order) >= self.budget:
-                self.capped = True
-                continue
-            self.seen.add(t)
-            self.order.append(t)
-        return True
-
-    def __iter__(self):
-        i = 0
-        while True:
-            while i >= len(self.order):
-                if not self._extend():
-                    return
-            yield self.order[i]
-            i += 1
-
-    @property
-    def complete(self) -> bool:
-        return not self.capped and self.pos >= len(self.order)
-
-
-class _TauExplorer:
-    """Budget-capped weak-answer enumeration, closest candidates first."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._closures = {}
-
-    def closure(self, p: Term) -> _LazyClosure:
-        c = self._closures.get(p)
-        if c is None:
-            c = _LazyClosure(p, self.budget)
-            self._closures[p] = c
-        return c
-
-    def weak_answers(self, q: Term, action: Action):
-        """Yields candidate answers lazily; call completeness() after draining."""
-        used = [self.closure(q)]
-        capped = [False]
-
-        def gen():
-            if action.is_tau:
-                yield from used[0]
-                return
-            emitted = set()
-            for u in used[0]:
-                for a, v in step(u):
-                    if a != action:
-                        continue
-                    post = self.closure(v)
-                    used.append(post)
-                    for w in post:
-                        if w not in emitted:
-                            emitted.add(w)
-                            yield w
-                        if len(emitted) >= self.budget:
-                            capped[0] = True
-                            return
-
-        def completeness():
-            return not capped[0] and all(c.complete for c in used)
-
-        return gen(), completeness
+    return answers(), lambda: not capped and all(c.states()[1] for c in used)
 
 
 def _strip_candidates(x: Term, y: Term, discipline: str):
@@ -255,7 +200,7 @@ def check_certificate(cert: Certificate, known_equiv: Optional[KnownEquivalence]
             return "known"
         return None
 
-    explorer = _TauExplorer(cert.closure_budget)
+    closures = SilentClosures(step, None, cert.closure_budget)
     obligations = []
     exhausted = False
     probe = Bounds(min(cert.closure_budget, 64), 16)
@@ -275,7 +220,7 @@ def check_certificate(cert: Certificate, known_equiv: Optional[KnownEquivalence]
             exhausted = True
         for chal, defn, direction in ((pair[0], pair[1], "left"), (pair[1], pair[0], "right")):
             for action, deriv in step(chal):
-                candidates, completeness = explorer.weak_answers(defn, action)
+                candidates, completeness = _weak_answers(closures, defn, action)
                 found = None
                 for answer in candidates:
                     for ctx, rx, ry in _strip_candidates(deriv, answer, cert.discipline):
@@ -430,34 +375,29 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
 # engine without the graph they were extracted from.
 
 
-def replay_trace(trace: AttackerTrace, tau_bound: int = 8, tau_cap: int = 4096) -> bool:
+def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
+    """Checks a first-order attacker trace against the transitions of its
+    terms: every challenge is a transition, every defender answer one of the
+    bounded game's continuations for it (closures cut after tau_bound silent
+    steps), and the final challenge is unanswerable or the final pair differs
+    in divergence. Raises ReplayError otherwise."""
     game = equivalence._OnTheFly(trace.kind, tau_bound)
     cur = tuple(canonicalize(t) for t in trace.start)
     for st in trace.steps:
-        chal_i = 0 if st.side == "left" else 1
-        defn_i = 1 - chal_i
-        after = (canonicalize(st.after[0]), canonicalize(st.after[1]))
-        if st.rolled_back:
-            if after[chal_i] != cur[chal_i]:
-                raise ReplayError("rolled-back step moved the challenger")
-            if after[defn_i] not in game.tau_closure(cur[defn_i]):
-                raise ReplayError("intermediate state not silently reachable")
-        else:
-            targets = [t for a, t in step(cur[chal_i]) if a == st.action]
-            if after[chal_i] not in targets:
-                raise ReplayError(
-                    f"challenger has no {st.action.label()} step to {render(after[chal_i])}"
-                )
-            if not _defender_reaches(game, trace.kind, cur[defn_i], st.action, after[defn_i]):
-                raise ReplayError("defender answer is not a legal response")
+        after = tuple(canonicalize(t) for t in st.after)
+        (chal, defn), (moved, answer) = (cur, after) if st.side == "left" else (cur[::-1], after[::-1])
+        # a rolled-back continuation keeps the challenger in place
+        if not st.rolled_back and moved not in [t for a, t in step(chal) if a == st.action]:
+            raise ReplayError(f"challenger has no {st.action.label()} step to {render(moved)}")
+        legal = {c for r in game.responses(defn, st.action) for c in game.answer(r, chal, st.action, moved)}
+        if ((moved, answer), st.rolled_back) not in legal:
+            raise ReplayError("defender answer is not a legal continuation")
         cur = after
     if trace.reason == "no-match":
-        chal_i = 0 if trace.final_side == "left" else 1
-        defn_i = 1 - chal_i
-        derivs = [t for a, t in step(cur[chal_i]) if a == trace.final_action]
-        if not derivs:
+        chal, defn = cur if trace.final_side == "left" else cur[::-1]
+        if not any(a == trace.final_action for a, _t in step(chal)):
             raise ReplayError("final challenge is not a real transition")
-        if game.responses(cur[defn_i], trace.final_action):
+        if game.responses(defn, trace.final_action):
             raise ReplayError("defender still has an answer to the final challenge")
     else:
         probe = Bounds(512, 32)
@@ -465,33 +405,6 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8, tau_cap: int = 4096) 
         if flags != {semantics.DIV_YES, semantics.DIV_NO}:
             raise ReplayError("terminal pair does not mismatch on divergence")
     return True
-
-
-def _defender_reaches(game, kind: str, source: Term, action: Action, target: Term) -> bool:
-    if kind == "strong":
-        return any(a == action and t == target for a, t in step(source))
-    if action.is_tau:
-        if kind in ("quasi-strong", "qs-branching"):
-            return any(a.is_tau and t == target for a, t in step(source))
-        if kind == "branching":
-            if target == source:
-                return True
-            return any(
-                any(a.is_tau and t == target for a, t in step(mid))
-                for mid in game.tau_closure(source)
-            )
-        return target in game.tau_closure(source)
-    for mid in game.tau_closure(source):
-        for a, t in step(mid):
-            if a != action:
-                continue
-            if kind in ("quasi-strong", "qs-branching", "branching"):
-                if t == target:
-                    return True
-            else:
-                if target in game.tau_closure(t):
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Higher-order semantics: substitution, derived replication, transitions
-with process payloads, and a bounded context-bisimulation game.
+with process payloads, and the moves of a bounded context-bisimulation game
+played by the attacker search of `equivalence`.
 
 The input rule is infinitely branching, so visible input transitions are
 instantiated over a finite test family; communication always transmits the
@@ -10,9 +11,11 @@ refutation or "no distinction up to the given depth".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .equivalence import _Game
 from .syntax import (
     NIL,
     GuardedRepl,
@@ -379,119 +382,40 @@ class HoVerdict:
         return out
 
 
-class _HoGame:
-    def __init__(self, mode, fam, tau_bound, tau_cap=2048):
-        self.mode = mode
-        self.fam = fam
-        self.tau_bound = tau_bound
-        self.tau_cap = tau_cap
-        self._moves = {}
-        self._closure = {}
+class _ContextGame(_Game):
+    """The context-bisimulation game over a test family.
 
-    def moves(self, p):
-        ms = self._moves.get(p)
-        if ms is None:
-            ms = ho_step(p, self.fam)
-            self._moves[p] = ms
-        return ms
+    A response is the defender's matching (action, target). An output is
+    answered by any output on its channel; the game then goes on under every
+    context of the family, each side's payload plugged in next to its
+    continuation, and each such continuation is labelled with its context.
+    """
 
-    def tau_closure(self, p):
-        out = self._closure.get(p)
-        if out is not None:
-            return out
-        seen = {p: 0}
-        queue = [p]
-        while queue:
-            u = queue.pop(0)
-            if seen[u] >= self.tau_bound:
-                continue
-            for a, t in self.moves(u):
-                if a.is_tau and t not in seen and len(seen) < self.tau_cap:
-                    seen[t] = seen[u] + 1
-                    queue.append(t)
-        out = tuple(sorted(seen, key=term_key))
-        self._closure[p] = out
-        return out
+    def __init__(self, mode, fam, tau_bound):
+        self.step = functools.lru_cache(maxsize=None)(lambda p: ho_step(p, fam))
+        super().__init__(tau_bound, 2048)
+        self.mode, self.fam = mode, fam
 
-    def _matching(self, defn, action):
-        """Defender transitions answering the given action shape."""
+    def respond(self, defn, action):
+        def matches(a):
+            return a == action or a.kind == action.kind == "out" and a.channel == action.channel
+
         if self.mode == "strong":
-            if action.is_tau:
-                return [t for a, t in self.moves(defn) if a.is_tau]
-            if action.kind == "in":
-                return [t for a, t in self.moves(defn) if a == action]
-            return [(a.payload, t) for a, t in self.moves(defn) if a.kind == "out" and a.channel == action.channel]
+            return tuple((a, t) for a, t in self.step(defn) if matches(a)), False
         if action.is_tau:
-            return list(self.tau_closure(defn))
-        out = []
-        seen = set()
-        for pre in self.tau_closure(defn):
-            for a, mid in self.moves(pre):
-                if action.kind == "in" and a == action:
-                    for t in self.tau_closure(mid):
-                        if t not in seen:
-                            seen.add(t)
-                            out.append(t)
-                elif action.kind == "out" and a.kind == "out" and a.channel == action.channel:
-                    for t in self.tau_closure(mid):
-                        if (a.payload, t) not in seen:
-                            seen.add((a.payload, t))
-                            out.append((a.payload, t))
-        return out
+            pres, complete = self.closures[defn].states()
+            return tuple((HO_TAU, t) for t in pres), not complete
+        moves, complete = self.weak_moves(defn, matches)
+        return moves, not complete
 
-    def answers(self, action, deriv, defn, left_is_chal):
-        def orient(c, d):
-            return (c, d) if left_is_chal else (d, c)
-
-        out = []
-        if action.kind in ("tau", "in"):
-            for t in self._matching(defn, action):
-                out.append(((orient(deriv, t), ""),))
-        else:
-            payload_a = action.payload
-            for payload_b, t in self._matching(defn, action):
-                conts = []
-                for ctx in self.fam.contexts:
-                    ca = canonicalize(Par((ctx.apply(payload_a), deriv)))
-                    cb = canonicalize(Par((ctx.apply(payload_b), t)))
-                    conts.append((orient(ca, cb), ctx.label()))
-                out.append(tuple(conts))
-        return out
-
-    def attack(self, l, r, budget, safe):
-        if l == r or budget <= 0:
-            return None
-        if safe.get((l, r), -1) >= budget:
-            return None
-        options = []
-        for side, chal, defn, left_is_chal in (("left", l, r, True), ("right", r, l, False)):
-            for action, deriv in self.moves(chal):
-                options.append(
-                    ((action.sort_key(), 0 if side == "left" else 1, term_key(deriv)), side, action, deriv, defn, left_is_chal)
-                )
-        options.sort(key=lambda o: o[0])
-        for _k, side, action, deriv, defn, left_is_chal in options:
-            answers = self.answers(action, deriv, defn, left_is_chal)
-            if not answers:
-                return [(side, action, None, "")]
-            per_answer = []
-            ok = True
-            for ans in answers:
-                chosen = None
-                for cont, ctx_label in ans:
-                    tail = self.attack(cont[0], cont[1], budget - 1, safe)
-                    if tail is not None:
-                        chosen = (cont, ctx_label, tail)
-                        break
-                if chosen is None:
-                    ok = False
-                    break
-                per_answer.append(chosen)
-            if ok:
-                cont, ctx_label, tail = max(per_answer, key=lambda c: len(c[2]))
-                return [(side, action, cont, ctx_label)] + tail
-        safe[(l, r)] = budget
-        return None
+    def answer(self, response, chal, action, deriv):
+        a, t = response
+        if action.kind != "out":
+            return (((deriv, t), ""),)
+        return (
+            ((canonicalize(Par((c.apply(action.payload), deriv))), canonicalize(Par((c.apply(a.payload), t)))), c.label())
+            for c in self.fam.contexts
+        )
 
 
 def context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies = None, tau_bound: int = None) -> HoVerdict:
@@ -511,24 +435,13 @@ def context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies = No
         raise ValueError("test families must not be empty")
     if tau_bound is None:
         tau_bound = max(depth, 4)
-    game = _HoGame(mode, fam, tau_bound)
-    found = None
-    for budget in range(1, depth + 1):
-        found = game.attack(p, q, budget, {})
-        if found is not None:
-            break
+    found, stats = _ContextGame(mode, fam, tau_bound).play(p, q, depth)
     if found is None:
-        return HoVerdict("no-distinction", mode, depth, families=fam, start=(p, q), stats={"depth": depth})
-    steps = []
-    final = ()
-    for side, action, cont, ctx_label in found:
-        if cont is None:
-            final = (side, action)
-            break
-        steps.append(HoTraceStep(side, action, cont, ctx_label))
-    return HoVerdict(
-        "inequivalent", mode, depth, trace=steps, families=fam, start=(p, q), final=final, stats={"depth": depth}
-    )
+        return HoVerdict("no-distinction", mode, depth, families=fam, start=(p, q), stats=stats)
+    *moves, (final_side, final_action, _, _) = found
+    steps = [HoTraceStep(side, action, cont, label) for side, action, cont, label in moves]
+    final = (final_side, final_action)
+    return HoVerdict("inequivalent", mode, depth, trace=steps, families=fam, start=(p, q), final=final, stats=stats)
 
 
 def conjecture_probe(pairs, depth: int = 4) -> list:

@@ -323,3 +323,16 @@ def test_closures_cut_counts_bounded_defender_closures():
     assert verdict.stats["closures_cut"] >= 1
     # a closure bound beyond the eight silent steps cuts nothing
     assert bounded_game(left, right, "weak", 2, tau_bound=64).stats["closures_cut"] == 0
+
+
+def test_silent_closures_stop_at_bound_and_cap():
+    grow = canonicalize(parse("!c.d | !'c"))  # every silent step adds a d
+    for bound, cap, size in ((2, 4096, 3), (None, 5, 5), (0, 4096, 1)):
+        states, complete = equivalence.SilentClosures(step, bound, cap)[grow].states()
+        assert len(states) == size and not complete
+        assert sorted(len(t.parts) for t in states) == [len(grow.parts) + i for i in range(size)]
+    # iteration is breadth-first; states() is in term order and complete here
+    closure = equivalence.SilentClosures(step, None, 4096)[canonicalize(parse("a.'b | 'a | b"))]
+    bfs = [canonicalize(parse(t)) for t in ("a.'b | 'a | b", "'b | b", "0")]
+    assert list(closure) == bfs
+    assert closure.states() == (tuple(sorted(bfs, key=term_key)), True)

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from pcalc.equivalence import InvalidRequest, decide
+from pcalc.equivalence import CCSM_KINDS, InvalidRequest, TraceStep, bounded_game, decide
 from pcalc.evidence import (
     AndF,
     Certificate,
@@ -36,6 +37,33 @@ def test_certificate_rep_invariance_parallel_context():
         assert result.outcome == "certified"
         shapes = {o.to_json()["context"] for o in result.obligations}
         assert any(ctx.endswith("| [.]") for ctx in shapes), shapes
+
+def test_certificate_output_is_pinned():
+    # the full result for the first silent derivative, answers included: each
+    # obligation is discharged by the first weak answer, in breadth-first
+    # order, that leaves a related residue
+    bang, derivs = tau_derivatives("!(a.'b | 'a)")
+    result = check_certificate(Certificate(((bang, derivs[0]),), "upto-context", 128))
+    pair = ["!(a.'b | 'a)", "a.'b | 'a | 'b | !(a.'b | 'a)"]
+    obligations = [
+        ("left", "tau", "a.'b | 'a | 'b | !(a.'b | 'a)", "a.'b | 'a | 'b | !(a.'b | 'a)", "[.]", "equal"),
+        ("left", "tau", "'b | !(a.'b | 'a)", "a.'b | 'a | 'b | 'b | !(a.'b | 'a)", "'b | [.]", "pair"),
+        ("left", "a", "'a | 'b | !(a.'b | 'a)", "a.'b | 'a | 'a | 'b | 'b | !(a.'b | 'a)", "'a | 'b | [.]", "pair"),
+        ("left", "'a", "a.'b | !(a.'b | 'a)", "a.'b | a.'b | 'a | 'b | !(a.'b | 'a)", "a.'b | [.]", "pair"),
+        ("right", "tau", "a.'b | a.'b | 'a | 'a | 'b | 'b | !(a.'b | 'a)", "a.'b | 'a | 'b | !(a.'b | 'a)", "a.'b | 'a | 'b | [.]", "pair"),
+        ("right", "tau", "a.'b | 'a | 'b | 'b | !(a.'b | 'a)", "'b | !(a.'b | 'a)", "'b | [.]", "pair"),
+        ("right", "tau", "'b | 'b | !(a.'b | 'a)", "'b | 'b | !(a.'b | 'a)", "[.]", "equal"),
+        ("right", "a", "a.'b | 'a | 'a | 'b | 'b | !(a.'b | 'a)", "'a | 'b | !(a.'b | 'a)", "'a | 'b | [.]", "pair"),
+        ("right", "a", "'a | 'b | 'b | !(a.'b | 'a)", "'a | 'b | 'b | !(a.'b | 'a)", "[.]", "equal"),
+        ("right", "'a", "a.'b | a.'b | 'a | 'b | !(a.'b | 'a)", "a.'b | !(a.'b | 'a)", "a.'b | [.]", "pair"),
+        ("right", "'a", "a.'b | 'b | !(a.'b | 'a)", "a.'b | 'b | !(a.'b | 'a)", "[.]", "equal"),
+        ("right", "'b", "a.'b | 'a | !(a.'b | 'a)", "a.'b | 'a | !(a.'b | 'a)", "[.]", "equal"),
+    ]
+    keys = ("direction", "action", "derivative", "answer", "context", "via")
+    assert result.to_json() == {
+        "outcome": "certified",
+        "obligations": [{"pair": pair, **dict(zip(keys, row))} for row in obligations],
+    }
 
 
 def test_certificate_refuted_on_disjoint_alphabets():
@@ -164,6 +192,25 @@ def test_replay_rejects_forged_trace():
     )
     with pytest.raises(ReplayError):
         replay_trace(forged)
+
+def test_replay_rejects_forged_defender_answers():
+    # every kind refutes a.b.c against a.b.d in two steps; a defender that
+    # stays put on the first one is not answering its a
+    for kind in CCSM_KINDS:
+        trace = decide(parse("a.b.c"), parse("a.b.d"), kind).trace
+        first = trace.steps[0]
+        assert first.side == "left" and replay_trace(trace)
+        forged = TraceStep(first.side, first.action, (first.after[0], trace.start[1]), first.rolled_back)
+        with pytest.raises(ReplayError):
+            replay_trace(replace(trace, steps=(forged,) + trace.steps[1:]))
+    # a rolled-back step whose intermediate state the defender cannot reach silently
+    for kind in ("branching", "qs-branching"):
+        trace = bounded_game(parse("a | 'a | b"), parse("'a | a | b.'b"), kind, 3).trace
+        (rolled,) = trace.steps
+        assert rolled.rolled_back and replay_trace(trace)
+        forged = TraceStep(rolled.side, rolled.action, (rolled.after[0], canonicalize(parse("a | 'a | 'b"))), True)
+        with pytest.raises(ReplayError):
+            replay_trace(replace(trace, steps=(forged,)))
 
 
 def test_exact_inequivalence_traces_replay_for_all_kinds():

@@ -200,11 +200,11 @@ def test_context_game_right_side_attacks_are_defended_weakly():
     bang = canonicalize(derived_replication(body))
     unfolded = canonicalize(Par((bang, canonicalize(body))))
     fam = TestFamilies.default(bang, unfolded)
-    from pcalc.hocore import _HoGame
+    from pcalc.hocore import _ContextGame
 
-    game = _HoGame("weak", fam, tau_bound=4)
-    for action, deriv in game.moves(unfolded):
-        answers = game.answers(action, deriv, bang, left_is_chal=False)
+    game = _ContextGame("weak", fam, tau_bound=4)
+    for action, deriv in game.step(unfolded):
+        answers = [tuple(game.answer(r, unfolded, action, deriv)) for r in game.responses(bang, action)]
         assert any(
             all(cont[0] == cont[1] for cont, _lab in ans) for ans in answers
         ), f"no copycat answer for {action.label()}"
