@@ -1,7 +1,10 @@
 """Behavioral equivalence checkers over complete graphs, plus bounded
-on-the-fly games for graphs that cannot be fully explored. One attacker search
-over terms and one lazy silent-closure helper serve the first-order game, the
-higher-order context game (`hocore`), trace replay and certificates.
+on-the-fly games for graphs that cannot be fully explored. Each kind's
+transfer clause is written once (`_respond`), over the lazy silent closures of
+`semantics`, and answers challenges over graph states (trace extraction) and
+over terms (the bounded game and trace replay) alike. One attacker search
+over terms serves the first-order game and the higher-order context game
+(`hocore`).
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semantics
-from .semantics import TAU, Action, Bounds, Closures, Lts, closures, step, union_lts
-from .syntax import Term, canonicalize, render, sc_equal, term_key
+from .semantics import TAU, Action, Bounds, Lts, SilentClosures, closures, step, union_lts
+from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
 PAIR_KINDS = ("quasi-strong", "qs-branching")
@@ -360,32 +363,45 @@ def _challenges(lts: Lts, pair):
             yield side, action, deriv, chal, defn
 
 
-def _answers(lts: Lts, cls: Closures, kind: str, challenge):
-    """Defender answers in a fixed order, lazily; each a tuple of (left, right) continuations."""
-    side, action, deriv, chal, defn = challenge
+def _respond(kind: str, closures: SilentClosures, defn, action: Action):
+    """The transfer clause of each kind: defn's responses to a challenge by
+    action, whichever side challenged, and whether a silent closure they read
+    was cut short. States are terms or graph states, stepped by
+    `closures.step`.
 
-    def orient(c, d):
-        return (c, d) if side == "left" else (d, c)
-
+    A response is a (mid, target) pair. Mid None stands for the answer with
+    the single continuation (derivative, target); otherwise for the
+    branching-style answer whose continuations are (challenger, mid), rolled
+    back, and (derivative, target).
+    """
+    step = closures.step
     # the quasi-strong styles match a silent move with exactly one silent step
     if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
-        for a, t in lts.succ(defn):
-            if a == action:
-                yield (orient(deriv, t),)
-    elif kind == "weak":
-        targets = cls.tau_reach[defn] if action.is_tau else cls.weak[defn].get(action, ())
-        for t in sorted(targets):
-            yield (orient(deriv, t),)
+        return tuple((None, t) for a, t in step(defn) if a == action), False
+    if kind == "weak" and not action.is_tau:
+        moves, complete = closures.weak_moves(defn, lambda a: a == action)
+        return tuple((None, t) for _a, t in moves), not complete
+    pres, complete = closures[defn].states()
+    if kind == "weak":
+        out = tuple((None, t) for t in pres)
     elif kind == "quasi-strong":
-        for t in sorted(cls.delay[defn].get(action, ())):
-            yield (orient(deriv, t),)
+        targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
+        out = tuple((None, t) for t in targets)
     elif kind in ("branching", "qs-branching"):
-        if action.is_tau:
-            yield (orient(deriv, defn),)
-        for mid, t in cls.bpairs(defn, action):
-            yield (orient(chal, mid), orient(deriv, t))
+        out = ((None, defn),) if action.is_tau else ()
+        out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    return out, not complete
+
+
+def _answer(response, chal, action, deriv):
+    """The continuations a response offers to chal -action-> deriv, as
+    ((challenger, defender), rolled back) pairs."""
+    mid, t = response
+    if mid is None:
+        return (((deriv, t), False),)
+    return (((chal, mid), True), ((deriv, t), False))
 
 
 class _RankSearch:
@@ -399,9 +415,24 @@ class _RankSearch:
     are coroutines on an explicit stack, clear of the recursion limit.
     """
 
-    def __init__(self, lts: Lts, cls: Closures, kind: str, relates):
-        self.lts, self.cls, self.kind, self.relates = lts, cls, kind, relates
+    def __init__(self, lts: Lts, kind: str, relates):
+        self.lts, self.kind, self.relates = lts, kind, relates
+        self.cls = closures(lts)
         self.lo, self.hi = {}, {}
+        self._responses = {}
+
+    def answers(self, challenge):
+        """The defender's answers to a challenge, lazily, each a tuple of
+        (left, right) continuations. Responses are memoised per (defender,
+        action) in graph order: (None, t) first, then (mid, t) by mid, then t."""
+        side, action, deriv, chal, defn = challenge
+        responses = self._responses.get((defn, action))
+        if responses is None:
+            responses, _cut = _respond(self.kind, self.cls, defn, action)
+            responses = sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+            self._responses[(defn, action)] = responses
+        for response in responses:
+            yield tuple(c if side == "left" else c[::-1] for c, _rolled in _answer(response, chal, action, deriv))
 
     def _known(self, pair, k):
         """Whether the bounds settle rank(pair) <= k; None if they do not."""
@@ -420,7 +451,7 @@ class _RankSearch:
     def _expand(self, pair, k):
         """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict."""
         for ch in _challenges(self.lts, pair):
-            for ans in _answers(self.lts, self.cls, self.kind, ch):
+            for ans in self.answers(ch):
                 for c in ans:
                     known = self._known(c, k - 1)
                     if known is None:
@@ -461,7 +492,7 @@ class _RankSearch:
         raise InvalidRequest("refutation rank search did not converge")
 
 
-def extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None) -> AttackerTrace:
+def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
     """Minimal attacker trace refuting the start pair; raises if it survives.
 
     Ranks are decided on demand (see `_RankSearch`), only for pairs the trace
@@ -470,20 +501,18 @@ def extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None) -> 
     continuation of rank below b. The defender plays the answer whose best
     such continuation has the highest rank, and the attacker follows the
     lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
-    the pairs the search bounded. The strong style reads no closures; the
-    others build them when not given.
+    the pairs the search bounded. Answers come from `_respond` over the
+    graph's silent closures; the strong style reads none of them.
     """
-    if cls is None and kind != "strong":
-        cls = closures(lts)
     start = tuple(start)
     if relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
-    game = _RankSearch(lts, cls, kind, relates)
+    game = _RankSearch(lts, kind, relates)
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
         for ch in sorted(_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
-            answers = tuple(_answers(lts, cls, kind, ch))
+            answers = tuple(game.answers(ch))
             if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
                 break
         if not answers:
@@ -660,64 +689,6 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
 # on each side of the answer.
 
 
-class SilentClosures(dict):
-    """Silent closures of terms through `step`, keyed by root. Each is
-    explored breadth-first on demand and holds at most `cap` states, none more
-    than `bound` silent steps from its root (no depth limit when bound is
-    None).
-    """
-
-    def __init__(self, step, bound, cap):
-        super().__init__()
-        self.step, self.bound, self.cap = step, bound, cap
-
-    def __missing__(self, root):
-        self[root] = closure = _Closure(root, self)
-        return closure
-
-
-class _Closure:
-    """Iterating yields the states in breadth-first order, exploring only as
-    far as it is read; `states()` reads the whole closure."""
-
-    def __init__(self, root, owner: SilentClosures):
-        self.owner = owner
-        self.depth = {root: 0}
-        self.order = [root]  # breadth-first; the states before pos are expanded
-        self.pos = 0
-        self.cut = False  # a silent step was left out by the bound or the cap
-        self._states = None
-
-    def _expand(self) -> bool:
-        """Expands the next state in order; False when every state is expanded."""
-        if self.pos == len(self.order):
-            return False
-        u = self.order[self.pos]
-        self.pos += 1
-        inside = self.owner.bound is None or self.depth[u] < self.owner.bound
-        for a, t in self.owner.step(u):
-            if a.is_tau and t not in self.depth:
-                if inside and len(self.order) < self.owner.cap:
-                    self.depth[t] = self.depth[u] + 1
-                    self.order.append(t)
-                else:
-                    self.cut = True
-        return True
-
-    def __iter__(self):
-        i = 0
-        while i < len(self.order) or self._expand():
-            if i < len(self.order):
-                yield self.order[i]
-                i += 1
-
-    def states(self):
-        """All the states in term order, and whether no silent step was cut off."""
-        if self._states is None:
-            self._states = (tuple(sorted(self, key=term_key)), not self.cut)
-        return self._states
-
-
 class _Game:
     """Depth-bounded attacker search directly over terms, for any calculus.
 
@@ -746,19 +717,6 @@ class _Game:
             self.closures_cut += cut
             self._responses[key] = out
         return out
-
-    def weak_moves(self, defn, matches):
-        """defn's moves => -a-> => with matches(a), as distinct (a, target)
-        pairs in closure order, and whether every closure read is complete."""
-        pres, complete = self.closures[defn].states()
-        out = {}
-        for pre in pres:
-            for a, mid in self.step(pre):
-                if matches(a):
-                    after, done = self.closures[mid].states()
-                    complete = complete and done
-                    out.update(dict.fromkeys([(a, t) for t in after]))
-        return tuple(out), complete
 
     def challenges(self, l, r):
         """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
@@ -827,46 +785,27 @@ class _Game:
 
 
 class _OnTheFly(_Game):
-    """The first-order game: `step` and the transfer clause of each kind.
-
-    A response is a (mid, target) pair. Mid None stands for the answer with the
-    single continuation (derivative, target); otherwise for the
-    branching-style answer whose continuations are (challenger, mid), labelled
-    rolled back, and (derivative, target).
-    """
+    """The first-order game over terms: `step`, and the transfer clauses
+    `_respond` and `_answer` read through the one lazy silent-closure helper,
+    `semantics.SilentClosures`, which trace extraction uses over graph states."""
 
     step = staticmethod(step)
+    answer = staticmethod(_answer)
 
     def __init__(self, kind, tau_bound):
         super().__init__(tau_bound, 4096)
         self.kind = kind
 
     def respond(self, defn, action):
-        kind = self.kind
-        # the quasi-strong styles match a silent move with exactly one silent step
-        if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
-            return tuple((None, t) for a, t in step(defn) if a == action), False
-        if kind == "weak" and not action.is_tau:
-            moves, complete = self.weak_moves(defn, lambda a: a == action)
-            return tuple((None, t) for _a, t in moves), not complete
-        pres, complete = self.closures[defn].states()
-        if kind == "weak":
-            out = tuple((None, t) for t in pres)
-        elif kind == "quasi-strong":
-            targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
-            out = tuple((None, t) for t in targets)
-        elif kind in ("branching", "qs-branching"):
-            out = ((None, defn),) if action.is_tau else ()
-            out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return out, not complete
+        return _respond(self.kind, self.closures, defn, action)
 
-    def answer(self, response, chal, action, deriv):
-        mid, t = response
-        if mid is None:
-            return (((deriv, t), False),)
-        return (((chal, mid), True), ((deriv, t), False))
+
+def _game_tau_bound(depth: int, tau_bound) -> int:
+    """A game's silent-step bound: tau_bound, by default max(depth, 4).
+    Raises ValueError on a depth below 1 or a tau_bound below 0."""
+    if depth < 1 or (tau_bound is not None and tau_bound < 0):
+        raise ValueError(f"game depth must be at least 1 and tau bound at least 0; got {depth} and {tau_bound}")
+    return max(depth, 4) if tau_bound is None else tau_bound
 
 
 def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None) -> Verdict:
@@ -878,9 +817,8 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
     """
     if kind not in CCSM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    tau_bound = _game_tau_bound(depth, tau_bound)
     p, q = canonicalize(p), canonicalize(q)
-    if tau_bound is None:
-        tau_bound = max(depth, 4)
     found, stats = _OnTheFly(kind, tau_bound).play(p, q, depth)
     if found is None:
         bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
@@ -897,6 +835,7 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
 
 def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: int = 6, tau_bound: int = None) -> Verdict:
     """Full decision pipeline for one first-order equivalence."""
+    tau_bound = _game_tau_bound(game_depth, tau_bound)
     if kind == "sc":
         eq = sc_equal(p, q)
         return Verdict("equivalent" if eq else "inequivalent", "sc", stats={})

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
-from .equivalence import AttackerTrace, InvalidRequest, SilentClosures, compute_partition, extract_trace, relation_pairs
-from .semantics import Action, Bounds, Lts, build_lts, closures, components, step, union_lts
+from .equivalence import AttackerTrace, InvalidRequest, compute_partition, extract_trace, relation_pairs
+from .semantics import Action, Bounds, Lts, SilentClosures, build_lts, components, step, union_lts
 from .syntax import Term, canonical_par, canonicalize, parse, render, term_key
 
 
@@ -358,8 +358,7 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
     pairs, _rel = relation_pairs(lts, kind)
     if (min(s, t), max(s, t)) in pairs:
         raise InvalidRequest("states are equivalent under this kind")
-    cls = None if kind == "strong" else closures(lts)
-    trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs, cls)
+    trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs)
     replay_trace(trace, tau_bound=lts.num_states())
     formula = distinguishing_formula(lts, s, t) if kind == "strong" else None
     if formula is not None:

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import _Game
+from .equivalence import _Game, _game_tau_bound
 from .syntax import (
     NIL,
     GuardedRepl,
@@ -405,7 +405,7 @@ class _ContextGame(_Game):
         if action.is_tau:
             pres, complete = self.closures[defn].states()
             return tuple((HO_TAU, t) for t in pres), not complete
-        moves, complete = self.weak_moves(defn, matches)
+        moves, complete = self.closures.weak_moves(defn, matches)
         return moves, not complete
 
     def answer(self, response, chal, action, deriv):
@@ -433,8 +433,7 @@ def context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies = No
         fam = TestFamilies.default(p, q)
     if not fam.inputs or not fam.contexts:
         raise ValueError("test families must not be empty")
-    if tau_bound is None:
-        tau_bound = max(depth, 4)
+    tau_bound = _game_tau_bound(depth, tau_bound)
     found, stats = _ContextGame(mode, fam, tau_bound).play(p, q, depth)
     if found is None:
         return HoVerdict("no-distinction", mode, depth, families=fam, start=(p, q), stats=stats)

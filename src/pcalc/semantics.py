@@ -1,5 +1,6 @@
 """First-order operational semantics: single steps, bounded state graphs,
-their silent-step SCCs, weak and delay closures, and divergence analysis.
+their silent-step SCCs, divergence analysis, and one lazy silent-closure
+helper, for terms and graph states alike, with weak and delay saturation.
 
 State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
@@ -316,9 +317,9 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
 # Silent-step SCCs
 #
 # One iterative Tarjan pass (Tarjan, SIAM J. Comput. 1972) over the silent
-# edges. States of one SCC reach the same states silently, so divergence,
-# closures and the weak and branching signatures are computed once per SCC,
-# sinks first, from the SCCs one silent step leaves it for.
+# edges. States of one SCC reach the same states silently, so divergence and
+# the weak and branching signatures are computed once per SCC, sinks first,
+# from the SCCs one silent step leaves it for.
 
 
 @dataclass(frozen=True)
@@ -438,64 +439,90 @@ def diverges(lts: Lts, s: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Weak and delay closures
+# Silent closures
+#
+# One lazy helper serves terms and graph states alike: `step` is the term
+# semantics (or a higher-order one) or a graph's `succ`.
 
 
-@dataclass
-class Closures:
-    """Materialized weak machinery for one complete graph.
-
-    tau_reach[s]: the reflexive => set. weak[s][action]: => action => targets
-    (for tau, => itself). delay[s][action]: => action targets, visible actions
-    only. bpairs(s, action): (mid, target) pairs with s => mid -action-> target.
+class SilentClosures(dict):
+    """Silent closures through `step`, keyed by root. Each is explored
+    breadth-first on demand and holds at most `cap` states, none more than
+    `bound` silent steps from its root (no depth limit when bound is None).
     """
 
-    lts: Lts
-    tau_reach: list
-    weak: list
-    delay: list
+    def __init__(self, step, bound, cap):
+        super().__init__()
+        self.step, self.bound, self.cap = step, bound, cap
 
-    def bpairs(self, s: int, action: Action):
-        pairs = self._bcache.get((s, action))
-        if pairs is None:
-            pairs = []
-            for mid in sorted(self.tau_reach[s]):
-                for a, t in self.lts.succ(mid):
-                    if a == action:
-                        pairs.append((mid, t))
-            pairs = tuple(pairs)
-            self._bcache[(s, action)] = pairs
-        return pairs
+    def __missing__(self, root):
+        self[root] = closure = _Closure(root, self)
+        return closure
 
-    def __post_init__(self):
-        self._bcache = {}
+    def weak_moves(self, root, matches):
+        """root's moves => -a-> => with matches(a), as distinct (a, target)
+        pairs in closure order, and whether every closure read is complete."""
+        pres, complete = self[root].states()
+        out = {}
+        for pre in pres:
+            for a, mid in self.step(pre):
+                if matches(a):
+                    after, done = self[mid].states()
+                    complete = complete and done
+                    out.update(dict.fromkeys([(a, t) for t in after]))
+        return tuple(out), complete
 
 
-def closures(lts: Lts) -> Closures:
-    """Weak and delay closures, computed once per silent SCC and shared by
-    its members."""
+class _Closure:
+    """Iterating yields the states in breadth-first order, exploring only as
+    far as it is read; `states()` reads the whole closure."""
+
+    def __init__(self, root, owner: SilentClosures):
+        self.owner = owner
+        self.depth = {root: 0}
+        self.order = [root]  # breadth-first; the states before pos are expanded
+        self.pos = 0
+        self.cut = False  # a silent step was left out by the bound or the cap
+        self._states = None
+
+    def _expand(self) -> bool:
+        """Expands the next state in order; False when every state is expanded."""
+        if self.pos == len(self.order):
+            return False
+        u = self.order[self.pos]
+        self.pos += 1
+        inside = self.owner.bound is None or self.depth[u] < self.owner.bound
+        for a, t in self.owner.step(u):
+            if a.is_tau and t not in self.depth:
+                if inside and len(self.order) < self.owner.cap:
+                    self.depth[t] = self.depth[u] + 1
+                    self.order.append(t)
+                else:
+                    self.cut = True
+        return True
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.order) or self._expand():
+            if i < len(self.order):
+                yield self.order[i]
+                i += 1
+
+    def states(self):
+        """All the states, terms in term order and graph states by index, and
+        whether no silent step was cut off."""
+        if self._states is None:
+            key = None if isinstance(self.order[0], int) else term_key
+            self._states = (tuple(sorted(self, key=key)), not self.cut)
+        return self._states
+
+
+def closures(lts: Lts) -> SilentClosures:
+    """The silent closures of a complete graph's states, exact: no depth
+    bound, and a cap no closure can reach."""
     if lts.truncated:
         raise SaturationOnTruncated("closures need a complete graph")
-    sccs = lts.silent_sccs()
-    reach = _scc_reach(sccs)
-    of = sccs.of
-    delay = []
-    weak = []
-    for c in range(len(sccs.members)):
-        dmap = {}
-        for mid in reach[c]:
-            for a, t in lts.succ(mid):
-                if not a.is_tau:
-                    dmap.setdefault(a, set()).add(t)
-        delay.append({a: frozenset(ts) for a, ts in dmap.items()})
-        wmap = {TAU: reach[c]}
-        for a, ts in dmap.items():
-            targets = set()
-            for t in ts:
-                targets |= reach[of[t]]
-            wmap[a] = frozenset(targets)
-        weak.append(wmap)
-    return Closures(lts, [reach[c] for c in of], [weak[c] for c in of], [delay[c] for c in of])
+    return SilentClosures(lts.succ, None, lts.num_states())
 
 
 @dataclass
@@ -514,18 +541,13 @@ def saturate(lts: Lts, mode: str) -> SaturatedLts:
     if mode not in ("weak", "delay"):
         raise ValueError(f"unknown saturation mode {mode!r}")
     cls = closures(lts)
-    derived = []
+    derived = set()
     for s in range(lts.num_states()):
+        pres, _complete = cls[s].states()
+        derived.update((s, TAU, t) for t in pres if mode == "weak" or t != s)
         if mode == "weak":
-            for a, ts in cls.weak[s].items():
-                for t in sorted(ts):
-                    derived.append((s, a, t))
+            moves, _complete = cls.weak_moves(s, lambda a: not a.is_tau)
         else:
-            for t in sorted(cls.tau_reach[s]):
-                if t != s:
-                    derived.append((s, TAU, t))
-            for a, ts in cls.delay[s].items():
-                for t in sorted(ts):
-                    derived.append((s, a, t))
-    derived.sort(key=lambda e: (e[0], e[1].sort_key(), e[2]))
-    return SaturatedLts(lts, mode, derived)
+            moves = [(a, t) for pre in pres for a, t in lts.succ(pre) if not a.is_tau]
+        derived.update((s, a, t) for a, t in moves)
+    return SaturatedLts(lts, mode, sorted(derived, key=lambda e: (e[0], e[1].sort_key(), e[2])))

@@ -325,6 +325,22 @@ def test_closures_cut_counts_bounded_defender_closures():
     assert bounded_game(left, right, "weak", 2, tau_bound=64).stats["closures_cut"] == 0
 
 
+def test_the_defender_plays_its_longest_refutation():
+    # answering a by a -a-> 0 loses at once to b; a.b.c -a-> b.c holds out
+    # one step longer
+    verdict = bounded_game(parse("a.b.0 | a.0"), parse("a.0 | a.b.c.0"), "strong", 5)
+    assert verdict.trace.to_json() == {
+        "kind": "strong",
+        "start": ["a | a.b", "a | a.b.c"],
+        "steps": [
+            {"side": "left", "action": "a", "after": ["a | b", "a | b.c"]},
+            {"side": "left", "action": "b", "after": ["a", "a | c"]},
+        ],
+        "reason": "no-match",
+        "final": {"side": "right", "action": "c"},
+    }
+
+
 def test_silent_closures_stop_at_bound_and_cap():
     grow = canonicalize(parse("!c.d | !'c"))  # every silent step adds a d
     for bound, cap, size in ((2, 4096, 3), (None, 5, 5), (0, 4096, 1)):

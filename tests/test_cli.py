@@ -115,6 +115,18 @@ def test_check_context_tau_bound(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["outcome"] == "no-distinction"
 
 
+def test_check_rejects_out_of_range_game_bounds(tmp_path, capsys):
+    # max depth 1 truncates the graph, so the bounded game would run
+    a, b = write(tmp_path, "a.proc", "a.0\n"), write(tmp_path, "b.proc", "'a.0\n")
+    for flags in (
+        ["--equiv", "weak", "--max-depth", "1", "--game-depth", "-3"],
+        ["--equiv", "weak", "--max-depth", "1", "--tau-bound", "-1"],
+        ["--equiv", "context-weak", "--game-depth", "0"],
+    ):
+        assert run(["check", *flags, a, b]) == 3, flags
+        assert capsys.readouterr().err.startswith("error: game depth must be at least 1"), flags
+
+
 def test_check_rejects_ho_terms_for_first_order_kinds(tmp_path, capsys):
     a = write(tmp_path, "a.proc", "a(X).X\n")
     assert run(["check", "--equiv", "weak", a, a]) == 3

@@ -2,9 +2,10 @@
 
 The reference below is the earlier round-based implementation, kept verbatim:
 list-building answers, naive pair deletion, and ranks computed over the
-whole reachable pair universe, one rank per round. The signature refinement
-and the on-demand rank search in `pcalc.equivalence` must give the same pair
-sets and the same traces.
+whole reachable pair universe, one rank per round. It reads its own eager
+closure tables, built as the earlier `semantics.closures` built them. The
+signature refinement and the on-demand rank search in `pcalc.equivalence`
+must give the same pair sets and the same traces.
 """
 
 import random
@@ -23,8 +24,23 @@ from pcalc.equivalence import (
     pair_gfp,
 )
 from pcalc.genterms import finite_state_corpus, random_graph_lts
-from pcalc.semantics import Action, Bounds, Closures, Lts, build_lts, closures
+from pcalc.semantics import Action, Bounds, Lts, build_lts
 from pcalc.syntax import parse
+from test_refinement import old_closures
+
+
+class Closures:
+    """Eager weak machinery for one complete graph: tau_reach[s], weak[s][a]
+    and delay[s][a] as in `old_closures`, and bpairs(s, a), the (mid, target)
+    pairs with s => mid -a-> target, by mid and then target."""
+
+    def __init__(self, lts: Lts):
+        self.lts = lts
+        self.tau_reach, self.weak, self.delay = old_closures(lts)
+
+    def bpairs(self, s: int, action: Action):
+        return tuple((mid, t) for mid in sorted(self.tau_reach[s]) for a, t in self.lts.succ(mid) if a == action)
+
 
 # ---------------------------------------------------------------------------
 # Reference implementation (verbatim)
@@ -96,7 +112,7 @@ def ref_pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairR
     if lts.truncated:
         raise TruncatedInput("pair relations need a complete graph")
     if cls is None:
-        cls = closures(lts)
+        cls = Closures(lts)
     R = {_norm(i, j) for i, j in seed_pairs}
     R.update((s, s) for s in range(lts.num_states()))
 
@@ -184,7 +200,7 @@ def _best_challenge(lts: Lts, cls: Closures, kind: str, pair, ranks, below=None)
 def ref_extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None) -> AttackerTrace:
     """Minimal attacker trace refuting the start pair; raises if it survives."""
     if cls is None:
-        cls = closures(lts)
+        cls = Closures(lts)
     start = tuple(start)
     if relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
@@ -261,7 +277,7 @@ def test_on_demand_game_matches_reference_on_random_graphs():
     fixpoints = refuted = 0
     for seed in SEEDS:
         lts = random_graph_lts(random.Random(seed), max_states=14)
-        cls = closures(lts)
+        cls = Closures(lts)
         n = lts.num_states()
         for kind, pairs in _relations(lts, cls).items():
             # the fixpoint also agrees when seeded with the coarser relation
@@ -278,7 +294,7 @@ def test_on_demand_game_matches_reference_on_random_graphs():
                 for t in range(n):
                     if relates(s, t):
                         continue
-                    new = extract_trace(lts, kind, (s, t), relates, cls)
+                    new = extract_trace(lts, kind, (s, t), relates)
                     ref = ref_extract_trace(lts, kind, (s, t), relates, cls)
                     assert new.to_json() == ref.to_json(), (seed, kind, s, t)
                     refuted += 1
@@ -292,7 +308,7 @@ def test_refinement_matches_reference_on_term_graphs():
     fixpoints = cyclic = 0
     for term in finite_state_corpus(random.Random(5), 60):
         lts = build_lts(term, Bounds(200, 64))
-        cls = closures(lts)
+        cls = Closures(lts)
         cyclic += any(lts.silent_sccs().cyclic)
         everything = [(i, j) for i in range(lts.num_states()) for j in range(i + 1, lts.num_states())]
         for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):

@@ -5,8 +5,9 @@ apart from its names: reachability by one breadth-first search per state,
 divergence flags and closures read off those sets, weak signatures read off
 the closures, branching signatures from a search per state, and stability in
 `classify_tau` from the closures. The SCC-ordered versions in
-`pcalc.semantics` and `pcalc.equivalence` must give the same flags, closures,
-partitions (block numbering and round counts included) and classifications.
+`pcalc.semantics` and `pcalc.equivalence` must give the same flags,
+partitions (block numbering and round counts included) and classifications,
+and the lazy silent closures and `saturate` the same closures and edges.
 """
 
 import random
@@ -15,8 +16,8 @@ from collections import deque
 
 import pytest
 
-from pcalc import evidence
-from pcalc.equivalence import PARTITION_KINDS, _refine, classify_tau, compute_partition
+from pcalc import equivalence, evidence
+from pcalc.equivalence import CCSM_KINDS, PARTITION_KINDS, _refine, classify_tau, compute_partition
 from pcalc.genterms import random_ccsm, random_graph_lts, random_stabilizing
 from pcalc.semantics import (
     DIV_NO,
@@ -30,6 +31,7 @@ from pcalc.semantics import (
     build_lts,
     closures,
     components,
+    saturate,
     union_lts,
 )
 from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
@@ -264,11 +266,29 @@ def test_refinement_matches_reference_on_random_graphs():
     assert sum(any(len(m) > 1 for m in g.silent_sccs().members) for g in graphs) >= 20
     for lts in graphs:
         _assert_matches_reference(lts)
+        reach, weak, _delay = old_closures(lts)
         cls = closures(lts)
-        assert (cls.tau_reach, cls.weak, cls.delay) == old_closures(lts)
+        for s in range(lts.num_states()):
+            assert cls[s].states() == (tuple(sorted(reach[s])), True)
+            moves, complete = cls.weak_moves(s, lambda a: not a.is_tau)
+            assert complete and len(set(moves)) == len(moves)
+            assert set(moves) == {(a, t) for a, ts in weak[s].items() if not a.is_tau for t in ts}
         history = [[0] * lts.num_states()]
         _refine(lts, "strong", history[0], history)
         assert history == old_strong_history(lts)
+
+
+def test_saturate_matches_reference_on_random_graphs():
+    for lts in _random_graphs():
+        reach, weak, delay = old_closures(lts)
+        n = lts.num_states()
+        expected = {
+            "weak": {(s, a, t) for s in range(n) for a, ts in weak[s].items() for t in ts},
+            "delay": {(s, TAU, t) for s in range(n) for t in reach[s] if t != s}
+            | {(s, a, t) for s in range(n) for a, ts in delay[s].items() for t in ts},
+        }
+        for mode, edges in expected.items():
+            assert saturate(lts, mode).derived == sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2])), mode
 
 
 def test_refinement_matches_reference_on_the_w4_family():
@@ -327,10 +347,11 @@ def test_long_silent_paths_refine_without_recursion(shape):
 
 def test_distinguishing_evidence_builds_closures_only_when_read(monkeypatch):
     built = []
-    real = evidence.closures
-    monkeypatch.setattr(evidence, "closures", lambda lts: built.append(lts) or real(lts))
+    real = equivalence.closures
+    monkeypatch.setattr(equivalence, "closures", lambda lts: built.append(real(lts)) or built[-1])
     lts = union_lts([parse("a.b.0"), parse("a.c.0")])
-    for kind, count in (("strong", 0), ("weak", 1), ("branching", 1), ("quasi-strong", 1)):
+    for kind in CCSM_KINDS:
         built.clear()
         evidence.distinguishing_evidence(lts, lts.initials[0], lts.initials[-1], kind)
-        assert len(built) == count, kind
+        assert len(built) == 1, kind  # built by the trace only, not by refinement
+        assert (len(built[0]) == 0) == (kind == "strong"), kind  # no strong answer reads a closure

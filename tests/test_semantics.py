@@ -155,9 +155,9 @@ def test_divergence_no_states_are_cycle_free():
     for s in range(lts.num_states()):
         if lts.diverges[s] != "no":
             continue
-        for u in cls.tau_reach[s]:
+        for u in cls[s].states()[0]:
             for a, v in lts.succ(u):
-                assert not (a.is_tau and u in cls.tau_reach[v]), "cycle under a no-state"
+                assert not (a.is_tau and u in cls[v].states()[0]), "cycle under a no-state"
 
 
 def test_diverges_unknown_state():
