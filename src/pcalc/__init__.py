@@ -15,7 +15,17 @@ from .syntax import (
     render,
     sc_equal,
 )
-from .semantics import Action, Bounds, build_lts, diverges, saturate, step, union_lts
+from .semantics import (
+    Action,
+    Bounds,
+    build_lts,
+    cache_info,
+    clear_caches,
+    diverges,
+    saturate,
+    step,
+    union_lts,
+)
 from .equivalence import (
     bounded_game,
     check_pair,
@@ -44,10 +54,12 @@ __all__ = [
     "Var",
     "bounded_game",
     "build_lts",
+    "cache_info",
     "canonicalize",
     "check_certificate",
     "check_pair",
     "classify_tau",
+    "clear_caches",
     "coincidence_report",
     "compute_partition",
     "context_game",

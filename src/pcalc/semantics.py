@@ -6,14 +6,23 @@ State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
 explicitly: a frontier state is one whose outgoing transitions were never
 expanded, and downstream analyses must treat such graphs as partial.
+
+Without restriction a state is a multiset of sequential parts, and every part
+a reachable state holds is reached by stepping the roots' parts. Exploration
+numbers those parts once, in term order, and explores states as sorted tuples
+of part ids: a move replaces one id, or two for a communication, by the ids of
+the derivatives, and each state's term is built once, when it is discovered.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import syntax
 from .syntax import (
+    NIL,
     InputPrefix,
     Nil,
     OutputPrefix,
@@ -22,6 +31,8 @@ from .syntax import (
     Term,
     canonical_par,
     canonicalize,
+    flat_key,
+    interned,
     render,
     term_key,
 )
@@ -92,8 +103,30 @@ class Bounds:
 
 # ---------------------------------------------------------------------------
 # Single steps
+#
+# A state is a multiset of sequential parts, and every part a state reaches
+# is a part of a root or of a part's derivative. A `_Parts` numbers such parts
+# in term order, so that a state is the sorted tuple of its parts' ids. One
+# rule, `_Parts.moves`, gives a parallel composition's moves over those
+# tuples: `step` runs it over one term's parts, and `union_lts` over every
+# part its roots reach, building one term per state it discovers.
 
 _step_cache: dict = {}
+
+
+def cache_info() -> dict:
+    """Entry counts of the process-global memo tables: interned canonical
+    terms, canonical forms and single steps. They only grow, until
+    `clear_caches`."""
+    return {"intern": len(syntax._intern), "canon": len(syntax._canon_cache), "step": len(_step_cache)}
+
+
+def clear_caches() -> None:
+    """Empties the process-global memo tables in place. Terms built before
+    stay valid; equal terms built after are new representatives."""
+    syntax._intern.clear()
+    syntax._canon_cache.clear()
+    _step_cache.clear()
 
 
 def step(p: Term):
@@ -112,6 +145,10 @@ def step(p: Term):
 
 
 def _step(p: Term):
+    if isinstance(p, Par):
+        parts = _Parts(p.parts, closed=False)
+        moves = sorted(parts.moves(parts.key(p)), key=_move_order)
+        return tuple((parts.actions[a], parts.term(t)) for a, t in moves)
     moves = set()
     if isinstance(p, Nil):
         pass
@@ -122,62 +159,113 @@ def _step(p: Term):
     elif isinstance(p, Repl):
         inner = step(p.body)
         for act, t in inner:
-            moves.add((act, _par_of([t, p])))
+            moves.add((act, canonical_par([t, p])))
         for act_in, t_in in inner:
             if act_in.kind != "in":
                 continue
             for act_out, t_out in inner:
                 if act_out.kind == "out" and act_out.name == act_in.name:
-                    moves.add((TAU, _par_of([t_in, t_out, p])))
-    elif isinstance(p, Par):
-        # Equal parts step alike, so each distinct part steps once, at its
-        # first position; a second position lets two copies communicate.
-        parts = p.parts
-        where = {}
-        for i, q in enumerate(parts):
-            where.setdefault(q, []).append(i)
-        visible = {}  # action -> [(positions of the part, derivative)]
-        for q, at in where.items():
-            for act, t in step(q):
-                moves.add((act, _par_replace(parts, at[0], t)))
-                if not act.is_tau:
-                    visible.setdefault(act, []).append((at, t))
-        for act, ins in visible.items():
-            if act.kind != "in":
-                continue
-            for at_o, t_o in visible.get(act.complement(), ()):
-                for at_i, t_i in ins:
-                    if at_i is not at_o:
-                        moves.add((TAU, _par_replace2(parts, at_i[0], t_i, at_o[0], t_o)))
-                    elif len(at_i) > 1:
-                        moves.add((TAU, _par_replace2(parts, at_i[0], t_i, at_i[1], t_o)))
+                    moves.add((TAU, canonical_par([t_in, t_out, p])))
     else:
         raise TypeError(f"not a first-order term: {p!r}")
     return tuple(sorted(moves, key=lambda m: (m[0].sort_key(), term_key(m[1]))))
 
 
-def _par_of(parts) -> Term:
-    return canonical_par(parts)
+def _parts_of(p: Term) -> tuple:
+    """The parallel components of a canonical term, in term order."""
+    if isinstance(p, Nil):
+        return ()
+    if isinstance(p, Par):
+        return p.parts
+    return (p,)
 
 
-def _par_replace(parts, i, t) -> Term:
-    return _par_of([t if k == i else q for k, q in enumerate(parts)])
+def _state_order(t):
+    """Orders sorted part-id tuples as term_key orders their terms: nil, then
+    one sequential part, then parallels by their parts."""
+    return (len(t) > 1, t)
 
 
-def _par_replace2(parts, i, t_i, j, t_j) -> Term:
-    repl = list(parts)
-    repl[i] = t_i
-    repl[j] = t_j
-    return _par_of(repl)
+def _move_order(m):
+    return (m[0], _state_order(m[1]))
+
+
+class _Parts:
+    """The sequential parts that steps from `roots` reach, numbered in term
+    order, with the moves of the stepped ones: the roots, and every part when
+    `closed`. A state is the sorted tuple of its parts' ids, and a move is
+    (action id, target state); actions are numbered in sort-key order, so tau
+    is 0.
+    """
+
+    def __init__(self, roots, closed: bool):
+        stepped = {}
+        todo = list(dict.fromkeys(roots))
+        found = set(todo)
+        while todo:
+            q = todo.pop()
+            stepped[q] = step(q)
+            for _a, t in stepped[q]:
+                for c in _parts_of(t):
+                    if c not in found:
+                        found.add(c)
+                        if closed:
+                            todo.append(c)
+        self.parts = sorted(found, key=flat_key)  # term order, compared in linear time
+        self.id = {q: i for i, q in enumerate(self.parts)}
+        self.actions = sorted({a for ms in stepped.values() for a, _t in ms} | {TAU}, key=Action.sort_key)
+        aid = {a: i for i, a in enumerate(self.actions)}
+        # the output each input action communicates with, if any step offers it
+        self.partner = [aid.get(a.complement()) if a.kind == "in" else None for a in self.actions]
+        self.part_moves = [None] * len(self.parts)
+        for q, ms in stepped.items():
+            self.part_moves[self.id[q]] = [(aid[a], self.key(t)) for a, t in ms]
+
+    def key(self, p: Term) -> tuple:
+        """The state of canonical term p, whose parts must be numbered."""
+        return tuple(self.id[q] for q in _parts_of(p))
+
+    def term(self, t: tuple) -> Term:
+        """The canonical term of state t, built with its parts in order."""
+        if len(t) == 1:
+            return self.parts[t[0]]
+        return interned(Par(tuple(self.parts[i] for i in t))) if t else NIL
+
+    def moves(self, state: tuple) -> set:
+        """The moves of the parallel composition of state's parts:
+        interleaving and communication. Equal parts step alike, so each
+        distinct part steps once. Only distinct parts communicate: a part
+        with an input and an output is a replication, and two copies of it
+        reach by communicating what one reaches by self-communication."""
+        out = set()
+        visible = {}  # action id -> [(part, derivative)]
+        for q in dict.fromkeys(state):
+            for a, d in self.part_moves[q]:
+                out.add((a, _replace(state, (q,), d)))
+                if a:
+                    visible.setdefault(a, []).append((q, d))
+        for a, ins in visible.items():
+            for q_o, d_o in visible.get(self.partner[a], ()):
+                for q_i, d_i in ins:
+                    if q_i != q_o:
+                        out.add((0, _replace(state, (q_i, q_o), d_i + d_o)))
+        return out
+
+
+def _replace(state: tuple, drop, add) -> tuple:
+    """The sorted multiset state less one copy of each id in drop, plus the
+    ids in add, merged in."""
+    out = list(state)
+    for q in drop:
+        out.remove(q)
+    for q in add:
+        insort(out, q)
+    return tuple(out)
 
 
 def components(p: Term) -> Counter:
     """Multiset of parallel components of a canonical term."""
-    if isinstance(p, Nil):
-        return Counter()
-    if isinstance(p, Par):
-        return Counter(p.parts)
-    return Counter((p,))
+    return Counter(_parts_of(p))
 
 
 # ---------------------------------------------------------------------------
@@ -264,50 +352,48 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
 
     Deterministic: states are numbered in BFS discovery order with term-order
     tie-breaking among one state's newly discovered successors. A state is
-    either fully expanded or left on the frontier untouched.
+    either fully expanded or left on the frontier untouched. States are
+    explored as sorted tuples of part ids (see `_Parts`).
     """
+    roots = [canonicalize(t) for t in terms]
+    parts = _Parts([q for r in roots for q in _parts_of(r)], closed=True)
     states: list = []
+    keys: list = []
     index: dict = {}
     depth: list = []
     initials = []
-    for t in terms:
-        c = canonicalize(t)
-        if c not in index:
-            index[c] = len(states)
-            states.append(c)
+    for r in roots:
+        key = parts.key(r)
+        if key not in index:
+            index[key] = len(states)
+            states.append(r)
+            keys.append(key)
             depth.append(0)
-        initials.append(index[c])
+        initials.append(index[key])
     edges = []
     frontier = set()
     truncated = False
     pos = 0
     while pos < len(states):
-        s = states[pos]
         if depth[pos] >= bounds.max_depth:
             frontier.add(pos)
             truncated = True
             pos += 1
             continue
-        moves = step(s)
-        new_targets = []
-        seen_new = set()
-        for _a, t in moves:
-            if t not in index and t not in seen_new:
-                seen_new.add(t)
-                new_targets.append(t)
+        moves = parts.moves(keys[pos])
+        new_targets = {t for _a, t in moves if t not in index}
         if len(states) + len(new_targets) > bounds.max_states:
             frontier.add(pos)
             truncated = True
             pos += 1
             continue
-        for t in sorted(new_targets, key=term_key):
+        for t in sorted(new_targets, key=_state_order):
             index[t] = len(states)
-            states.append(t)
+            states.append(parts.term(t))
+            keys.append(t)
             depth.append(depth[pos] + 1)
-        for a, t in moves:
-            edges.append((pos, a, index[t]))
+        edges.extend((pos, parts.actions[a], dst) for a, dst in sorted((a, index[t]) for a, t in moves))
         pos += 1
-    edges.sort(key=lambda e: (e[0], e[1].sort_key(), e[2]))
     lts = Lts(states, edges, tuple(initials), truncated, frozenset(frontier), depth)
     lts.diverges = _divergence_flags(lts)
     return lts

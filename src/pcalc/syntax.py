@@ -263,11 +263,48 @@ def term_key(p: Term):
     return _key(p, {}, 0) if k is None else k
 
 
+def flat_key(p: Term) -> tuple:
+    """term_key of a canonical first-order term, flattened to one tuple that
+    sorts alike. Nested keys of two long prefix chains compare in time
+    quadratic in their length, flat keys in linear time. A parallel's parts
+    end with -1, below every rank, so a prefix of its parts sorts first."""
+    out = []
+    todo = [p]
+    while todo:
+        t = todo.pop()
+        if t is None:
+            out.append(-1)
+        elif isinstance(t, Nil):
+            out.append(0)
+        elif isinstance(t, InputPrefix):
+            out += (2, t.name)
+            todo.append(t.cont)
+        elif isinstance(t, OutputPrefix):
+            out += (3, t.name)
+            todo.append(t.cont)
+        elif isinstance(t, Repl):
+            out.append(4)
+            todo.append(t.body)
+        elif isinstance(t, Par):
+            out.append(5)
+            todo.append(None)
+            todo.extend(reversed(t.parts))
+        else:
+            raise TypeError(f"not a first-order term: {t!r}")
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Canonical form
+#
+# First-order canonical terms are hash-consed (Filliatre & Conchon, "Type-safe
+# modular hash-consing", ML Workshop 2006): such a term and each of its
+# subterms is the one interned representative of its class, so a prefix
+# continuation that a step returns is found in the cache by identity.
 
-_canon_cache: dict = {}
-_intern: dict = {}
+_canon_cache: dict = {}  # term -> its canonical representative
+_intern: dict = {}  # canonical term -> its representative
+_FIRST_ORDER = (InputPrefix, OutputPrefix, Repl)
 
 
 def canonicalize(p: Term) -> Term:
@@ -298,11 +335,11 @@ def _canon(p: Term, env: dict, depth: int) -> Term:
     if isinstance(p, Var):
         return p
     if isinstance(p, InputPrefix):
-        return InputPrefix(p.name, _canon(p.cont, env, depth))
+        return interned(InputPrefix(p.name, _canon(p.cont, env, depth)))
     if isinstance(p, OutputPrefix):
-        return OutputPrefix(p.name, _canon(p.cont, env, depth))
+        return interned(OutputPrefix(p.name, _canon(p.cont, env, depth)))
     if isinstance(p, Repl):
-        return Repl(_canon(p.body, env, depth))
+        return interned(Repl(_canon(p.body, env, depth)))
     if isinstance(p, HoInput):
         inner = dict(env)
         inner[p.var] = depth
@@ -324,7 +361,9 @@ def _canon(p: Term, env: dict, depth: int) -> Term:
         if len(parts) == 1:
             return parts[0]
         parts.sort(key=lambda t: _key(t, env, depth))
-        return Par(tuple(parts))
+        par = Par(tuple(parts))
+        # a higher-order parallel is interned only once its binders are renamed
+        return interned(par) if all(isinstance(q, _FIRST_ORDER) for q in parts) else par
     raise TypeError(f"cannot canonicalize: {p!r}")
 
 
@@ -381,14 +420,15 @@ def canonical_par(parts) -> Term:
     if len(flat) == 1:
         return flat[0]
     flat.sort(key=term_key)
-    par = Par(tuple(flat))
-    rep = _intern.setdefault(par, par)
+    return interned(Par(tuple(flat)))
+
+
+def interned(p: Term) -> Term:
+    """The interned representative of a canonical first-order term whose
+    subterms are interned already; it is its own canonical form."""
+    rep = _intern.setdefault(p, p)
     _canon_cache.setdefault(rep, rep)
     return rep
-
-
-_intern[NIL] = NIL
-_canon_cache[NIL] = NIL
 
 
 def sc_equal(p: Term, q: Term) -> bool:

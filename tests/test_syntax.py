@@ -16,12 +16,14 @@ from pcalc.syntax import (
     Repl,
     Var,
     canonicalize,
+    flat_key,
     free_vars,
     infer_dialect,
     parse,
     render,
     sc_equal,
     split_pair_file,
+    subterms,
     term_key,
 )
 
@@ -148,6 +150,28 @@ def test_term_order_ranks():
     assert keys == sorted(keys)
     assert term_key(InputPrefix("a", NIL)) < term_key(InputPrefix("b", NIL))
     assert term_key(InputPrefix("a", NIL)) < term_key(InputPrefix("a", InputPrefix("a", NIL)))
+
+
+def test_flat_key_sorts_first_order_terms_as_term_key():
+    rng = rng_from_env(14)
+    found = set()
+    for _ in range(2_000):
+        found.update(subterms(canonicalize(random_ccsm(rng, rng.randint(1, 12)))))
+    # chains of one prefix, and parallels whose parts extend one another's
+    for text in ("a | b", "a | b | c", "x.(a | b) | y", "x.(a | b | c) | y", "!(a | b) | y", "!(a | b | c)"):
+        found.update(subterms(canonicalize(parse(text))))
+    for n in range(1, 40):
+        found.add(canonicalize(parse("a." * n + "0")))
+    terms = list(found)
+    assert sorted(terms, key=flat_key) == sorted(terms, key=term_key)
+
+
+def test_first_order_canonical_subterms_are_their_representatives():
+    rng = rng_from_env(15)
+    for _ in range(500):
+        c = canonicalize(random_ccsm(rng, rng.randint(1, 12)))
+        for sub in subterms(c):
+            assert canonicalize(sub) is sub
 
 
 def test_split_pair_file():
