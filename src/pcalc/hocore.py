@@ -293,19 +293,22 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
         moves.add((HoAction("out", p.channel, canonicalize(p.message)), canonicalize(p.cont)))
         return
     if isinstance(p, Par):
+        # Copies of one part, alike up to their binder numbers, reach the
+        # same targets, so each distinct part steps once, at its first position.
         parts = p.parts
+        first = {}
         for i, part in enumerate(parts):
+            first.setdefault(canonicalize(part), i)
+        for part, i in first.items():
             sub = set()
             _ho_moves(part, fam, sub)
             for act, t in sub:
                 moves.add((act, _ho_par_replace(parts, i, t)))
-        for i, recv in enumerate(parts):
+        for recv, i in first.items():
             if not isinstance(recv, HoInput):
                 continue
-            for j, send in enumerate(parts):
-                if i == j or not isinstance(send, HoOutput):
-                    continue
-                if recv.channel != send.channel:
+            for send, j in first.items():
+                if not isinstance(send, HoOutput) or recv.channel != send.channel:
                     continue
                 ti = ho_subst(recv.body, recv.var, canonicalize(send.message))
                 tj = canonicalize(send.cont)

@@ -112,21 +112,28 @@ class Bounds:
 # part its roots reach, building one term per state it discovers.
 
 _step_cache: dict = {}
+_TABLES = {
+    "intern": syntax._intern,
+    "canon": syntax._canon_cache,
+    "binders": syntax._binders,
+    "shift": syntax._shift_memo,
+    "step": _step_cache,
+}
 
 
 def cache_info() -> dict:
     """Entry counts of the process-global memo tables: interned canonical
-    terms, canonical forms and single steps. They only grow, until
-    `clear_caches`."""
-    return {"intern": len(syntax._intern), "canon": len(syntax._canon_cache), "step": len(_step_cache)}
+    terms, canonical forms, closed parts' binder counts, closed parts
+    renamed from a binder offset, and single steps. They only grow,
+    until `clear_caches`."""
+    return {name: len(table) for name, table in _TABLES.items()}
 
 
 def clear_caches() -> None:
     """Empties the process-global memo tables in place. Terms built before
     stay valid; equal terms built after are new representatives."""
-    syntax._intern.clear()
-    syntax._canon_cache.clear()
-    _step_cache.clear()
+    for table in _TABLES.values():
+        table.clear()
 
 
 def step(p: Term):

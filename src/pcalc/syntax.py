@@ -179,7 +179,7 @@ def free_vars(p: Term) -> frozenset:
     elif isinstance(p, GuardedRepl):
         fv = free_vars(p.prefix)
     elif isinstance(p, Par):
-        fv = frozenset().union(*(free_vars(q) for q in p.parts)) if p.parts else frozenset()
+        fv = frozenset().union(*map(free_vars, p.parts))
     elif isinstance(p, HoInput):
         fv = free_vars(p.body) - {p.var}
     elif isinstance(p, HoOutput):
@@ -260,7 +260,21 @@ def _key_compute(p: Term, env: dict, depth: int):
 def term_key(p: Term):
     """Sort key realizing the total term order on canonical terms."""
     k = getattr(p, "_k", None)
-    return _key(p, {}, 0) if k is None else k
+    if k is not None:
+        return k
+    if p._hv and not free_vars(p):
+        return _closed_key(p)
+    return _key(p, {}, 0)
+
+
+def _closed_key(p: Term):
+    """term_key of a closed term, cached on the node: under no binder, a
+    closed term keys alike."""
+    k = getattr(p, "_tk", None)
+    if k is None:
+        k = (5, tuple(map(_closed_key, p.parts))) if isinstance(p, Par) else _key(p, {}, 0)
+        object.__setattr__(p, "_tk", k)
+    return k
 
 
 def flat_key(p: Term) -> tuple:
@@ -301,9 +315,19 @@ def flat_key(p: Term) -> tuple:
 # modular hash-consing", ML Workshop 2006): such a term and each of its
 # subterms is the one interned representative of its class, so a prefix
 # continuation that a step returns is found in the cache by identity.
+#
+# A closed higher-order parallel is canonicalized part by part. A top-level
+# part is under no binder, so its canonical form up to a uniform shift of
+# binder numbers, its key and its binder count do not depend on its
+# neighbours: the whole-term renaming numbers part i's binders from X<o_i>,
+# o_i the binder count of the parts before it. A move that replaces one part
+# of a wide parallel therefore re-keys and renames that part only, and the
+# parts whose offset it moves.
 
 _canon_cache: dict = {}  # term -> its canonical representative
 _intern: dict = {}  # canonical term -> its representative
+_binders: dict = {}  # closed canonical part -> its count of binders
+_shift_memo: dict = {}  # (closed canonical part, offset) -> it with binders from X<offset>
 _FIRST_ORDER = (InputPrefix, OutputPrefix, Repl)
 
 
@@ -316,13 +340,47 @@ def canonicalize(p: Term) -> Term:
     rep = _canon_cache.get(p)
     if rep is not None:
         return rep
-    q = _canon(p, {}, 0)
-    if _needs_rename(q):
-        q = _rename(q, {}, [0], free_vars(q))
+    if isinstance(p, Par) and p._hv and not free_vars(p):
+        q = _closed_par(p)
+    else:
+        q = _canon(p, {}, 0)
+        if _needs_rename(q):
+            q = _rename(q, {}, [0], free_vars(q))
     rep = _intern.setdefault(q, q)
     _canon_cache[p] = rep
     _canon_cache[rep] = rep
     return rep
+
+
+def _closed_par(p: Par) -> Term:
+    parts = []
+    for q in p.parts:
+        c = canonicalize(q)
+        if isinstance(c, Par):
+            parts.extend(map(canonicalize, c.parts))
+        elif not isinstance(c, Nil):
+            parts.append(c)
+    if len(parts) < 2:
+        return parts[0] if parts else NIL
+    parts.sort(key=_closed_key)
+    out, offset = [], 0
+    for q in parts:
+        n = _binders.get(q)
+        if n is None:
+            n = _binders[q] = sum(isinstance(t, HoInput) for t in subterms(q))
+        out.append(_shift(q, offset) if n and offset else q)
+        offset += n
+    return Par(tuple(out))
+
+
+def _shift(p: Term, offset: int) -> Term:
+    """A closed canonical part with its binders renamed from X<offset>."""
+    s = _shift_memo.get((p, offset))
+    if s is None:
+        s = _shift_memo[p, offset] = _rename(p, {}, [offset], frozenset())
+        object.__setattr__(s, "_tk", _closed_key(p))
+        _canon_cache[s] = p
+    return s
 
 
 def _needs_rename(p: Term) -> bool:

@@ -1,0 +1,257 @@
+"""Closed higher-order parallels canonicalized part by part, against a frozen
+reference.
+
+The reference below is the earlier whole-term canonicalization, kept
+verbatim: `_canon` rebuilds and sorts the whole term, and `_rename` numbers
+every binder of it in traversal order. `pcalc.syntax.canonicalize` renames
+each top-level part from its own binder offset instead, and must give equal
+canonical forms.
+"""
+
+import random
+
+from pcalc import hocore, syntax
+from pcalc.corpus import ENTRIES
+from pcalc.genterms import random_hoccsm
+from pcalc.hocore import context_game, derived_replication
+from pcalc.syntax import (
+    NIL,
+    HoInput,
+    HoOutput,
+    InputPrefix,
+    Nil,
+    OutputPrefix,
+    Par,
+    Repl,
+    Term,
+    Var,
+    _key,
+    canonicalize,
+    free_vars,
+    interned,
+    parse,
+    subterms,
+)
+
+# ---------------------------------------------------------------------------
+# Reference implementation (verbatim)
+
+_FIRST_ORDER = (InputPrefix, OutputPrefix, Repl)
+
+
+def _needs_rename(p: Term) -> bool:
+    return any(isinstance(t, HoInput) for t in subterms(p))
+
+
+def _canon(p: Term, env: dict, depth: int) -> Term:
+    if isinstance(p, Nil):
+        return NIL
+    if isinstance(p, Var):
+        return p
+    if isinstance(p, InputPrefix):
+        return interned(InputPrefix(p.name, _canon(p.cont, env, depth)))
+    if isinstance(p, OutputPrefix):
+        return interned(OutputPrefix(p.name, _canon(p.cont, env, depth)))
+    if isinstance(p, Repl):
+        return interned(Repl(_canon(p.body, env, depth)))
+    if isinstance(p, HoInput):
+        inner = dict(env)
+        inner[p.var] = depth
+        return HoInput(p.channel, p.var, _canon(p.body, inner, depth + 1))
+    if isinstance(p, HoOutput):
+        return HoOutput(p.channel, _canon(p.message, env, depth), _canon(p.cont, env, depth))
+    if isinstance(p, Par):
+        parts = []
+        for q in p.parts:
+            c = _canon(q, env, depth)
+            if isinstance(c, Nil):
+                continue
+            if isinstance(c, Par):
+                parts.extend(c.parts)
+            else:
+                parts.append(c)
+        if not parts:
+            return NIL
+        if len(parts) == 1:
+            return parts[0]
+        parts.sort(key=lambda t: _key(t, env, depth))
+        par = Par(tuple(parts))
+        # a higher-order parallel is interned only once its binders are renamed
+        return interned(par) if all(isinstance(q, _FIRST_ORDER) for q in parts) else par
+    raise TypeError(f"cannot canonicalize: {p!r}")
+
+
+def _rename(p: Term, mapping: dict, counter: list, avoid: frozenset) -> Term:
+    if isinstance(p, (Nil,)):
+        return p
+    if isinstance(p, Var):
+        return Var(mapping.get(p.name, p.name))
+    if isinstance(p, InputPrefix):
+        return InputPrefix(p.name, _rename(p.cont, mapping, counter, avoid))
+    if isinstance(p, OutputPrefix):
+        return OutputPrefix(p.name, _rename(p.cont, mapping, counter, avoid))
+    if isinstance(p, Repl):
+        return Repl(_rename(p.body, mapping, counter, avoid))
+    if isinstance(p, HoInput):
+        fresh = _next_binder(counter, avoid)
+        inner = dict(mapping)
+        inner[p.var] = fresh
+        return HoInput(p.channel, fresh, _rename(p.body, inner, counter, avoid))
+    if isinstance(p, HoOutput):
+        msg = _rename(p.message, mapping, counter, avoid)
+        cont = _rename(p.cont, mapping, counter, avoid)
+        return HoOutput(p.channel, msg, cont)
+    if isinstance(p, Par):
+        return Par(tuple(_rename(q, mapping, counter, avoid) for q in p.parts))
+    raise TypeError(f"cannot rename: {p!r}")
+
+
+def _next_binder(counter: list, avoid: frozenset) -> str:
+    while True:
+        cand = f"X{counter[0]}"
+        counter[0] += 1
+        if cand not in avoid:
+            return cand
+
+
+def ref_canonicalize(p: Term) -> Term:
+    q = _canon(p, {}, 0)
+    if _needs_rename(q):
+        q = _rename(q, {}, [0], free_vars(q))
+    return q
+
+
+# ---------------------------------------------------------------------------
+
+# any seed would do, and a fixed set keeps the cost of the test fixed.
+SEED = 11
+
+
+def _is_closed_ho_par(p):
+    return isinstance(p, Par) and p._hv and not free_vars(p)
+
+
+def _closed_terms(rng, count):
+    out = []
+    while len(out) < count:
+        t = random_hoccsm(rng, rng.randint(1, 14))
+        if not free_vars(t):
+            out.append(t)
+    return out
+
+
+def test_random_closed_terms_canonicalize_as_the_reference():
+    rng = random.Random(SEED)
+    wide = 0
+    for t in _closed_terms(rng, 400):
+        roll = rng.random()
+        if roll < 0.3:
+            t = derived_replication(t)
+        elif roll < 0.5:
+            t = Par((derived_replication(t), t))
+        c = canonicalize(t)
+        assert c == ref_canonicalize(t), t
+        assert canonicalize(c) is c
+        wide += _is_closed_ho_par(t)
+    assert wide >= 100
+
+
+def test_parallels_of_parts_from_different_terms_canonicalize_as_the_reference():
+    # each canonical parallel numbers its parts' binders from its own offsets,
+    # so parts taken from two of them reuse each other's binder names
+    rng = random.Random(SEED)
+    pars = []
+    for t in _closed_terms(rng, 300):
+        c = canonicalize(Par((derived_replication(t), t)))
+        if isinstance(c, Par):
+            pars.append(c)
+    collided = 0
+    for _ in range(400):
+        picked = [q for c in rng.sample(pars, rng.randint(2, 4)) for q in c.parts if rng.random() < 0.6]
+        rng.shuffle(picked)
+        if len(picked) > 2 and rng.random() < 0.5:
+            cut = rng.randint(1, len(picked) - 1)
+            picked = [Par(tuple(picked[:cut]))] + picked[cut:]
+        mix = Par(tuple(picked) + (NIL,))
+        binders = [t.var for q in picked for t in subterms(q) if isinstance(t, HoInput)]
+        collided += len(binders) > len(set(binders))
+        assert canonicalize(mix) == ref_canonicalize(mix), mix
+    assert collided >= 100
+
+
+def test_context_game_states_on_the_corpus_canonicalize_as_the_reference(monkeypatch):
+    seen = []
+    states = set()
+
+    def recording(p):
+        seen.append(p)
+        return canonicalize(p)
+
+    def recording_step(p, fam):
+        moves = ho_step(p, fam)
+        states.add(p)
+        states.update(t for _, t in moves)
+        return moves
+
+    ho_step = hocore.ho_step
+    monkeypatch.setattr(hocore, "canonicalize", recording)
+    monkeypatch.setattr(hocore, "ho_step", recording_step)
+    entries = [e for e in ENTRIES if e.dialect == "hoccsm"]
+    assert entries
+    for entry in entries:
+        p, q = (parse(text, dialect="hoccsm") for text in entry.terms)
+        for mode in ("strong", "weak"):
+            context_game(p, q, mode, 4)
+    wide = [t for t in seen if _is_closed_ho_par(t)]
+    assert len(wide) >= 500 and len(states) >= 100
+    for t in seen:
+        assert canonicalize(t) == ref_canonicalize(t), t
+    for s in states:
+        assert ref_canonicalize(s) == s, s
+
+
+def _replications(n):
+    # n distinct derived replications, each with its own replicator channel
+    return canonicalize(parse(" | ".join(f"!('guard{i}<0>.0)" for i in range(n)), dialect="hoccsm"))
+
+
+def _count_work(monkeypatch, replace):
+    renamed, keyed = [0], []
+    rename, key_compute = syntax._rename, syntax._key_compute
+
+    def counting_rename(*args):
+        renamed[0] += 1
+        return rename(*args)
+
+    def recording_key(p, env, depth):
+        keyed.append(p)
+        return key_compute(p, env, depth)
+
+    monkeypatch.setattr(syntax, "_rename", counting_rename)
+    monkeypatch.setattr(syntax, "_key_compute", recording_key)
+    result = replace()
+    monkeypatch.undo()
+    return result, renamed[0], keyed
+
+
+def test_replacing_one_part_of_a_wide_parallel_renames_and_keys_that_part_only(monkeypatch):
+    n = 60
+    term = _replications(n)
+    assert len(term.parts) == 2 * n
+    # an input part swapped for one with as many binders keeps every offset
+    i = next(k for k, q in enumerate(term.parts) if isinstance(q, HoInput) and q.channel == "c7")
+    part = parse("c7(Y).('c7<Y>.0 | Y | 'guard7<'guard7<0>.0>.0)", dialect="hoccsm")
+    size = sum(1 for _ in subterms(part))
+    result, renamed, keyed = _count_work(monkeypatch, lambda: canonicalize(Par(term.parts[:i] + (part,) + term.parts[i + 1 :])))
+    assert result == ref_canonicalize(Par(term.parts[:i] + (part,) + term.parts[i + 1 :]))
+    assert renamed <= 2 * size
+    old = {canonicalize(q) for q in term.parts} | set(term.parts)
+    assert len(keyed) <= 2 * size and not old.intersection(keyed)
+    # the last part's output move leaves nil, and no offset after it moves
+    last = term.parts[-1]
+    assert isinstance(last, HoOutput)
+    result, renamed, keyed = _count_work(monkeypatch, lambda: canonicalize(Par(term.parts[:-1] + (last.cont,))))
+    assert result == ref_canonicalize(Par(term.parts[:-1]))
+    assert renamed == 0 and keyed == []
+    # a whole-term renaming visits every node, many times more than that
+    assert sum(1 for _ in subterms(term)) > 20 * size

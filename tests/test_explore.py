@@ -11,6 +11,7 @@ import random
 
 from pcalc import semantics, syntax
 from pcalc.genterms import finite_state_corpus, random_ccsm, random_stabilizing
+from pcalc.hocore import TestFamilies, ho_step
 from pcalc.semantics import TAU, Action, Bounds, Lts, _divergence_flags, cache_info, clear_caches
 from pcalc.syntax import InputPrefix, Nil, OutputPrefix, Par, Repl, Term, canonical_par, canonicalize, parse, term_key
 
@@ -249,15 +250,22 @@ def test_prefix_chains_canonicalize_each_suffix_once(monkeypatch):
 
 
 def test_clear_caches_empties_the_live_tables_in_place():
-    tables = (syntax._intern, syntax._canon_cache, semantics._step_cache)
+    def live():
+        return (syntax._intern, syntax._canon_cache, syntax._binders, syntax._shift_memo, semantics._step_cache)
+
+    tables = live()
     term = parse("a.'b | 'a.b | !(c | 'c) | c")
+    ho_term = parse("!('d<0>.0) | a(X).X", dialect="hoccsm")
     before = semantics.union_lts([term], Bounds(100, 8))
     moves = semantics.step(term)
+    ho_moves = ho_step(ho_term, TestFamilies.default(ho_term, ho_term))
     assert all(cache_info().values())
     clear_caches()
-    assert cache_info() == {"intern": 0, "canon": 0, "step": 0}
-    assert all(a is b for a, b in zip((syntax._intern, syntax._canon_cache, semantics._step_cache), tables))
+    assert cache_info() == {"intern": 0, "canon": 0, "binders": 0, "shift": 0, "step": 0}
+    assert all(a is b for a, b in zip(live(), tables))
     assert semantics.step(term) == moves
+    assert ho_step(ho_term, TestFamilies.default(ho_term, ho_term)) == ho_moves
     after = semantics.union_lts([term], Bounds(100, 8))
     assert after.to_json() == before.to_json() and after.depth == before.depth
     assert cache_info()["step"] == len(semantics._step_cache) > 0
+    assert cache_info()["shift"] == len(syntax._shift_memo) > 0
