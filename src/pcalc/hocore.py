@@ -26,6 +26,7 @@ from .syntax import (
     Repl,
     Term,
     Var,
+    canonical_par,
     canonicalize,
     free_vars,
     is_closed,
@@ -303,7 +304,7 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
             sub = set()
             _ho_moves(part, fam, sub)
             for act, t in sub:
-                moves.add((act, _ho_par_replace(parts, i, t)))
+                moves.add((act, canonical_par(parts[:i] + (t,) + parts[i + 1 :])))
         for recv, i in first.items():
             if not isinstance(recv, HoInput):
                 continue
@@ -311,21 +312,11 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
                 if not isinstance(send, HoOutput) or recv.channel != send.channel:
                     continue
                 ti = ho_subst(recv.body, recv.var, canonicalize(send.message))
-                tj = canonicalize(send.cont)
-                moves.add((HO_TAU, _ho_par_replace2(parts, i, ti, j, tj)))
+                repl = list(parts)
+                repl[i], repl[j] = ti, send.cont
+                moves.add((HO_TAU, canonical_par(repl)))
         return
     raise TypeError(f"not a closed higher-order term: {p!r}")
-
-
-def _ho_par_replace(parts, i, t) -> Term:
-    return canonicalize(Par(tuple(t if k == i else q for k, q in enumerate(parts))))
-
-
-def _ho_par_replace2(parts, i, ti, j, tj) -> Term:
-    repl = list(parts)
-    repl[i] = ti
-    repl[j] = tj
-    return canonicalize(Par(tuple(repl)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +407,7 @@ class _ContextGame(_Game):
         if action.kind != "out":
             return (((deriv, t), ""),)
         return (
-            ((canonicalize(Par((c.apply(action.payload), deriv))), canonicalize(Par((c.apply(a.payload), t)))), c.label())
+            ((canonical_par((c.apply(action.payload), deriv)), canonical_par((c.apply(a.payload), t))), c.label())
             for c in self.fam.contexts
         )
 

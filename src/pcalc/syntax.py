@@ -316,13 +316,17 @@ def flat_key(p: Term) -> tuple:
 # subterms is the one interned representative of its class, so a prefix
 # continuation that a step returns is found in the cache by identity.
 #
-# A closed higher-order parallel is canonicalized part by part. A top-level
-# part is under no binder, so its canonical form up to a uniform shift of
-# binder numbers, its key and its binder count do not depend on its
-# neighbours: the whole-term renaming numbers part i's binders from X<o_i>,
-# o_i the binder count of the parts before it. A move that replaces one part
-# of a wide parallel therefore re-keys and renames that part only, and the
-# parts whose offset it moves.
+# `canonical_par` builds every closed parallel that is a term in its own
+# right: each first-order parallel, nested or not, and each closed term that
+# is a parallel. It works part by part. A top-level part is under no binder,
+# so its canonical form up to a uniform shift of binder numbers, its key and
+# its binder count do not depend on its neighbours: the whole-term renaming
+# numbers part i's binders from X<o_i>, o_i the binder count of the parts
+# before it. A move that replaces one part of a wide parallel therefore
+# re-keys and renames that part only, and the parts whose offset it moves.
+# A higher-order parallel nested in a larger term is sorted in place and
+# renamed with the whole term: canonicalized alone, each level of a deep
+# nest would be renamed again at every level above it.
 
 _canon_cache: dict = {}  # term -> its canonical representative
 _intern: dict = {}  # canonical term -> its representative
@@ -340,37 +344,16 @@ def canonicalize(p: Term) -> Term:
     rep = _canon_cache.get(p)
     if rep is not None:
         return rep
-    if isinstance(p, Par) and p._hv and not free_vars(p):
-        q = _closed_par(p)
+    if isinstance(p, Par) and not (p._hv and free_vars(p)):
+        rep = canonical_par(p.parts)
     else:
         q = _canon(p, {}, 0)
         if _needs_rename(q):
             q = _rename(q, {}, [0], free_vars(q))
-    rep = _intern.setdefault(q, q)
+        rep = _intern.setdefault(q, q)
+        _canon_cache[rep] = rep
     _canon_cache[p] = rep
-    _canon_cache[rep] = rep
     return rep
-
-
-def _closed_par(p: Par) -> Term:
-    parts = []
-    for q in p.parts:
-        c = canonicalize(q)
-        if isinstance(c, Par):
-            parts.extend(map(canonicalize, c.parts))
-        elif not isinstance(c, Nil):
-            parts.append(c)
-    if len(parts) < 2:
-        return parts[0] if parts else NIL
-    parts.sort(key=_closed_key)
-    out, offset = [], 0
-    for q in parts:
-        n = _binders.get(q)
-        if n is None:
-            n = _binders[q] = sum(isinstance(t, HoInput) for t in subterms(q))
-        out.append(_shift(q, offset) if n and offset else q)
-        offset += n
-    return Par(tuple(out))
 
 
 def _shift(p: Term, offset: int) -> Term:
@@ -408,20 +391,18 @@ def _canon(p: Term, env: dict, depth: int) -> Term:
         parts = []
         for q in p.parts:
             c = _canon(q, env, depth)
-            if isinstance(c, Nil):
-                continue
             if isinstance(c, Par):
                 parts.extend(c.parts)
-            else:
+            elif not isinstance(c, Nil):
                 parts.append(c)
-        if not parts:
-            return NIL
+        if all(isinstance(q, _FIRST_ORDER) for q in parts):
+            return canonical_par(parts)
         if len(parts) == 1:
             return parts[0]
+        # the whole term's binders are renamed once, after it is sorted;
+        # bound variables key by their binder's depth
         parts.sort(key=lambda t: _key(t, env, depth))
-        par = Par(tuple(parts))
-        # a higher-order parallel is interned only once its binders are renamed
-        return interned(par) if all(isinstance(q, _FIRST_ORDER) for q in parts) else par
+        return Par(tuple(parts))
     raise TypeError(f"cannot canonicalize: {p!r}")
 
 
@@ -459,31 +440,40 @@ def _next_binder(counter: list, avoid: frozenset) -> str:
 
 
 def canonical_par(parts) -> Term:
-    """Canonical parallel composition of already-canonical first-order parts.
+    """Canonical parallel composition of closed parts, first-order or
+    higher-order: the canonical form of Par(parts).
 
-    Fast path for the transition engine: skips the recursive rewrite and only
-    flattens, drops nil, sorts, and interns. Not for higher-order terms, whose
-    canonical binder names depend on the whole term.
+    Each part is canonicalized through the cache (a shifted part maps back to
+    its representative), nested parallels are flattened, nil is dropped, the
+    parts are sorted by term_key, and part i's binders are renamed from
+    X<o_i>, o_i the binder count of the parts before it.
     """
     flat = []
     for q in parts:
-        if isinstance(q, Nil):
-            continue
-        if isinstance(q, Par):
-            flat.extend(q.parts)
-        else:
-            flat.append(q)
-    if not flat:
-        return NIL
-    if len(flat) == 1:
-        return flat[0]
+        c = canonicalize(q)
+        if isinstance(c, Par):
+            flat.extend(map(canonicalize, c.parts))
+        elif not isinstance(c, Nil):
+            flat.append(c)
+    if len(flat) < 2:
+        return flat[0] if flat else NIL
     flat.sort(key=term_key)
+    offset = 0
+    for i, q in enumerate(flat):
+        if isinstance(q, _FIRST_ORDER):
+            continue
+        n = _binders.get(q)
+        if n is None:
+            n = _binders[q] = sum(isinstance(t, HoInput) for t in subterms(q))
+        if n and offset:
+            flat[i] = _shift(q, offset)
+        offset += n
     return interned(Par(tuple(flat)))
 
 
 def interned(p: Term) -> Term:
-    """The interned representative of a canonical first-order term whose
-    subterms are interned already; it is its own canonical form."""
+    """The interned representative of a canonical term, a first-order one
+    with its subterms interned already; it is its own canonical form."""
     rep = _intern.setdefault(p, p)
     _canon_cache.setdefault(rep, rep)
     return rep

@@ -1,19 +1,22 @@
-"""Closed higher-order parallels canonicalized part by part, against a frozen
-reference.
+"""Closed parallels canonicalized part by part, against a frozen reference.
 
 The reference below is the earlier whole-term canonicalization, kept
 verbatim: `_canon` rebuilds and sorts the whole term, and `_rename` numbers
-every binder of it in traversal order. `pcalc.syntax.canonicalize` renames
-each top-level part from its own binder offset instead, and must give equal
-canonical forms.
+every binder of it in traversal order. `pcalc.syntax.canonical_par` builds
+every closed parallel, first-order or higher-order, from its parts'
+canonical forms and renames each part from its own binder offset instead,
+and must give equal canonical forms.
 """
 
 import random
 
+import pytest
+
 from pcalc import hocore, syntax
 from pcalc.corpus import ENTRIES
-from pcalc.genterms import random_hoccsm
+from pcalc.genterms import random_ccsm, random_hoccsm
 from pcalc.hocore import context_game, derived_replication
+from pcalc.semantics import cache_info, clear_caches
 from pcalc.syntax import (
     NIL,
     HoInput,
@@ -26,6 +29,7 @@ from pcalc.syntax import (
     Term,
     Var,
     _key,
+    canonical_par,
     canonicalize,
     free_vars,
     interned,
@@ -187,6 +191,10 @@ def test_context_game_states_on_the_corpus_canonicalize_as_the_reference(monkeyp
         seen.append(p)
         return canonicalize(p)
 
+    def recording_par(parts):
+        seen.append(Par(tuple(parts)))
+        return canonical_par(parts)
+
     def recording_step(p, fam):
         moves = ho_step(p, fam)
         states.add(p)
@@ -195,6 +203,7 @@ def test_context_game_states_on_the_corpus_canonicalize_as_the_reference(monkeyp
 
     ho_step = hocore.ho_step
     monkeypatch.setattr(hocore, "canonicalize", recording)
+    monkeypatch.setattr(hocore, "canonical_par", recording_par)
     monkeypatch.setattr(hocore, "ho_step", recording_step)
     entries = [e for e in ENTRIES if e.dialect == "hoccsm"]
     assert entries
@@ -255,3 +264,146 @@ def test_replacing_one_part_of_a_wide_parallel_renames_and_keys_that_part_only(m
     assert renamed == 0 and keyed == []
     # a whole-term renaming visits every node, many times more than that
     assert sum(1 for _ in subterms(term)) > 20 * size
+
+
+# ---------------------------------------------------------------------------
+# Parallels without a variable node, and first-order ones
+
+
+def _no_var_terms(rng, count):
+    # closed higher-order terms with no variable node, binders or not
+    out = []
+    while len(out) < count:
+        t = random_hoccsm(rng, rng.randint(1, 10))
+        if not t._hv:
+            out.append(t)
+    return out
+
+
+def _mix(rng, parts):
+    # the parts shuffled, some of them in a nested parallel, and a nil
+    parts = list(parts)
+    rng.shuffle(parts)
+    if len(parts) > 2 and rng.random() < 0.5:
+        cut = rng.randint(1, len(parts) - 1)
+        parts = [Par(tuple(parts[:cut]))] + parts[cut:]
+    return Par(tuple(parts) + (NIL,))
+
+
+def _binder_count(p):
+    return sum(isinstance(t, HoInput) for t in subterms(p))
+
+
+def test_first_order_parallels_nested_under_prefixes_canonicalize_as_the_reference():
+    rng = random.Random(SEED)
+    nested = 0
+    for _ in range(400):
+        t = random_ccsm(rng, rng.randint(2, 16))
+        c = canonicalize(t)
+        assert ref_canonicalize(t) is c, t
+        assert canonicalize(c) is c
+        nested += any(
+            isinstance(s, (InputPrefix, OutputPrefix)) and isinstance(s.cont, Par)
+            or isinstance(s, Repl) and isinstance(s.body, Par)
+            for s in subterms(c)
+        )
+    assert nested >= 100
+
+
+def test_closed_higher_order_parallels_without_a_variable_node_canonicalize_as_the_reference():
+    # the shape a replicator leaves once it has taken a closed payload
+    found = parse("m | 'c0<m>.0 | 'd | 'd", dialect="hoccsm")
+    assert not found._hv
+    assert canonicalize(found) == ref_canonicalize(found)
+    rng = random.Random(SEED)
+    pool = _no_var_terms(rng, 300)
+    renumbered = 0
+    for _ in range(400):
+        mix = _mix(rng, rng.sample(pool, rng.randint(2, 5)))
+        assert not mix._hv
+        c = canonicalize(mix)
+        assert c == ref_canonicalize(mix), mix
+        assert canonicalize(c) is c
+        renumbered += isinstance(c, Par) and sum(_binder_count(q) > 0 for q in c.parts) > 1
+    assert renumbered >= 100
+
+
+def test_parallels_without_a_variable_node_under_a_binder_canonicalize_as_the_reference():
+    rng = random.Random(SEED)
+    pool = _no_var_terms(rng, 300)
+    x, y = Var("X"), Var("Y")
+    for _ in range(400):
+        inner = _mix(rng, rng.sample(pool, rng.randint(2, 4)))
+        shapes = (
+            HoInput("a", "X", Par((x, inner))),
+            HoInput("a", "X", HoOutput("b", x, inner)),
+            HoInput("a", "X", HoInput("b", "Y", Par((y, inner, x)))),
+            # open: X is free beside the binder that reuses its name
+            Par((x, HoInput("a", "X", Par((inner, x))), HoOutput("b", inner, y))),
+        )
+        for t in shapes:
+            c = canonicalize(t)
+            assert c == ref_canonicalize(t), t
+            assert canonicalize(c) is c
+
+
+def test_context_game_keys_the_canonical_form_cache_by_canonical_terms():
+    # A move builds no raw parallel, so besides interned terms and parts
+    # shifted from them, only the few raw terms that parsing and substitution
+    # build are keys.
+    clear_caches()
+    term = parse("'d<0>.0", dialect="hoccsm")
+    bang = canonicalize(derived_replication(term))
+    unfolded = canonicalize(Par((bang, term)))
+    context_game(bang, unfolded, "weak", 4, tau_bound=16)
+    info = cache_info()
+    assert info["canon"] - info["intern"] <= info["shift"] + 32
+
+
+# ---------------------------------------------------------------------------
+# Nesting depth
+
+
+def _deepest(make, dialect):
+    """The largest n for which parse(make(n)) fits the current stack."""
+
+    def parses(n):
+        try:
+            parse(make(n), dialect=dialect)
+        except RecursionError:
+            return False
+        return True
+
+    lo, hi = 1, 2
+    while parses(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if parses(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(
+    "dialect, make",
+    [
+        ("ccsm", lambda n: "a.(b | " * n + "0" + ")" * n),
+        # higher-order, without a variable node: under binders, in messages
+        ("hoccsm", lambda n: "a.(b | " * n + "0" + ")" * n),
+        ("hoccsm", lambda n: "'a<m | " * n + "0" + ">.0" * n),
+    ],
+    ids=["ccsm-prefixes", "hoccsm-inputs", "hoccsm-messages"],
+)
+def test_the_deepest_nesting_of_parallels_without_a_variable_node_parse_accepts_canonicalizes(dialect, make):
+    c = canonicalize(parse(make(_deepest(make, dialect)), dialect=dialect))
+    assert canonicalize(c) is c
+
+
+def test_higher_order_nesting_canonicalizes_at_three_quarters_of_the_deepest_parse_accepts():
+    def make(n):
+        return "a(X).('b<X>.0 | " * n + "0" + ")" * n
+
+    c = canonicalize(parse(make(3 * _deepest(make, "hoccsm") // 4), dialect="hoccsm"))
+    assert canonicalize(c) is c
