@@ -413,6 +413,9 @@ class _RankSearch:
     search decides it exactly. Each decided query tightens the pair's proven
     bounds lo <= rank <= hi, so no (pair, k) is searched twice. Pairs under search
     are coroutines on an explicit stack, clear of the recursion limit.
+
+    `rank` deepens one rank at a time, so the weak search on two silent chains
+    of n states bounds n^2 pairs in about n^3 time.
     """
 
     def __init__(self, lts: Lts, kind: str, relates):
@@ -421,17 +424,21 @@ class _RankSearch:
         self.lo, self.hi = {}, {}
         self._responses = {}
 
-    def answers(self, challenge):
-        """The defender's answers to a challenge, lazily, each a tuple of
-        (left, right) continuations. Responses are memoised per (defender,
-        action) in graph order: (None, t) first, then (mid, t) by mid, then t."""
-        side, action, deriv, chal, defn = challenge
+    def _sorted_responses(self, defn, action):
+        """defn's responses to action, memoised in graph order: (None, t)
+        first, then (mid, t) by mid, then t."""
         responses = self._responses.get((defn, action))
         if responses is None:
             responses, _cut = _respond(self.kind, self.cls, defn, action)
-            responses = sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+            responses = tuple(sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1])))
             self._responses[(defn, action)] = responses
-        for response in responses:
+        return responses
+
+    def answers(self, challenge):
+        """The defender's answers to a challenge, lazily, each a tuple of
+        (left, right) continuations, in `_sorted_responses` order."""
+        side, action, deriv, chal, defn = challenge
+        for response in self._sorted_responses(defn, action):
             yield tuple(c if side == "left" else c[::-1] for c, _rolled in _answer(response, chal, action, deriv))
 
     def _known(self, pair, k):
@@ -449,20 +456,30 @@ class _RankSearch:
         return True if self.hi.get(pair, math.inf) <= k else None
 
     def _expand(self, pair, k):
-        """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict."""
-        for ch in _challenges(self.lts, pair):
-            for ans in self.answers(ch):
-                for c in ans:
-                    known = self._known(c, k - 1)
-                    if known is None:
-                        known = yield c
-                    if known:
-                        break  # the attacker wins this answer
+        """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict.
+
+        Reads the memoised responses in place, oriented as `answers` orients them."""
+        settled, responses, below = self._known, self._sorted_responses, k - 1
+        l, r = pair
+        # the challenges of `_challenges`, in its order
+        for left, chal, defn in ((True, l, r), (False, r, l)):
+            for action, deriv in self.lts.succ(chal):
+                for mid, t in responses(defn, action):
+                    if mid is None:
+                        conts = ((deriv, t),) if left else ((t, deriv),)
+                    else:
+                        conts = ((chal, mid), (deriv, t)) if left else ((mid, chal), (t, deriv))
+                    for c in conts:
+                        known = settled(c, below)
+                        if known is None:
+                            known = yield c
+                        if known:
+                            break  # the attacker wins this answer
+                    else:
+                        break  # the defender escapes: try the next challenge
                 else:
-                    break  # the defender escapes: try the next challenge
-            else:
-                self.hi[pair] = min(k, self.hi.get(pair, math.inf))
-                return True  # every answer is won
+                    self.hi[pair] = min(k, self.hi.get(pair, math.inf))
+                    return True  # every answer is won
         self.lo[pair] = k + 1
         return False
 

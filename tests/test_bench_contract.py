@@ -1,4 +1,5 @@
-"""The benchmark child, traced, on one tiny query per operation.
+"""The benchmark child, traced, on one tiny query per operation, and the
+harness's own self-test.
 
 `bench/tracing.py` reads pcalc's memo tables by name and reports a table
 that is gone or renamed as null, so a traced run of such a change ends in a
@@ -63,3 +64,14 @@ def test_traced_child_gives_pinned_results_and_numeric_layer_metrics():
     assert {"syntax.intern_size", "syntax.canon_cache_size", "semantics.step_cache_size"} <= layers.keys()
     bad = {k: v for k, v in layers.items() if type(v) not in (int, float)}
     assert not bad
+
+
+def test_harness_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -6,10 +6,17 @@ whole reachable pair universe, one rank per round. It reads its own eager
 closure tables, built as the earlier `semantics.closures` built them. The
 signature refinement and the on-demand rank search in `pcalc.equivalence`
 must give the same pair sets and the same traces.
+
+A second reference keeps the on-demand rank search as it was before it
+walked the memoised responses in place: it resumed the `answers` generator
+for every answer of every expansion. The search must give the same traces
+and the same `rank_pairs` as it.
 """
 
+import math
 import random
 
+from pcalc import equivalence
 from pcalc.equivalence import (
     CCSM_KINDS,
     PARTITION_KINDS,
@@ -18,13 +25,17 @@ from pcalc.equivalence import (
     PairRelation,
     TraceStep,
     TruncatedInput,
+    _answer,
+    _challenges,
+    _respond,
     compute_partition,
     decide,
     extract_trace,
     pair_gfp,
+    relation_pairs,
 )
 from pcalc.genterms import finite_state_corpus, random_graph_lts
-from pcalc.semantics import Action, Bounds, Lts, build_lts
+from pcalc.semantics import Action, Bounds, Lts, build_lts, closures, union_lts
 from pcalc.syntax import parse
 from test_refinement import old_closures
 
@@ -248,6 +259,147 @@ def ref_extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None)
 
 
 # ---------------------------------------------------------------------------
+# Reference rank search over the `answers` generator (verbatim but for names)
+
+
+class _GeneratorRankSearch:
+    """Memoised, goal-directed search for "rank(pair) <= k".
+
+    rank is 0 on an unrelated pair whose divergence flags differ, otherwise 1 +
+    min over challenges, max over answers, min over continuations; related pairs
+    have none. rank <= k depends only on pairs within k moves, so a depth-bounded
+    search decides it exactly. Each decided query tightens the pair's proven
+    bounds lo <= rank <= hi, so no (pair, k) is searched twice. Pairs under search
+    are coroutines on an explicit stack, clear of the recursion limit.
+    """
+
+    def __init__(self, lts: Lts, kind: str, relates):
+        self.lts, self.kind, self.relates = lts, kind, relates
+        self.cls = closures(lts)
+        self.lo, self.hi = {}, {}
+        self._responses = {}
+
+    def answers(self, challenge):
+        """The defender's answers to a challenge, lazily, each a tuple of
+        (left, right) continuations. Responses are memoised per (defender,
+        action) in graph order: (None, t) first, then (mid, t) by mid, then t."""
+        side, action, deriv, chal, defn = challenge
+        responses = self._responses.get((defn, action))
+        if responses is None:
+            responses, _cut = _respond(self.kind, self.cls, defn, action)
+            responses = sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+            self._responses[(defn, action)] = responses
+        for response in responses:
+            yield tuple(c if side == "left" else c[::-1] for c, _rolled in _answer(response, chal, action, deriv))
+
+    def _known(self, pair, k):
+        """Whether the bounds settle rank(pair) <= k; None if they do not."""
+        if pair not in self.lo:
+            l, r = pair
+            if self.relates(l, r):
+                self.lo[pair] = math.inf
+            elif self.lts.diverges[l] != self.lts.diverges[r]:
+                self.lo[pair] = self.hi[pair] = 0
+            else:
+                self.lo[pair] = 1
+        if k < self.lo[pair]:
+            return False
+        return True if self.hi.get(pair, math.inf) <= k else None
+
+    def _expand(self, pair, k):
+        """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict."""
+        for ch in _challenges(self.lts, pair):
+            for ans in self.answers(ch):
+                for c in ans:
+                    known = self._known(c, k - 1)
+                    if known is None:
+                        known = yield c
+                    if known:
+                        break  # the attacker wins this answer
+                else:
+                    break  # the defender escapes: try the next challenge
+            else:
+                self.hi[pair] = min(k, self.hi.get(pair, math.inf))
+                return True  # every answer is won
+        self.lo[pair] = k + 1
+        return False
+
+    def at_most(self, root, k) -> bool:
+        result = self._known(root, k)
+        if result is not None:
+            return result
+        stack = [(k, self._expand(root, k))]
+        while stack:
+            k, search = stack[-1]
+            try:
+                child = search.send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+                continue
+            stack.append((k - 1, self._expand(child, k - 1)))
+            result = None
+        return result
+
+    def rank(self, pair) -> int:
+        """Exact rank, deepening from the pair's proven lower bound."""
+        self._known(pair, 0)
+        while self.lo[pair] < self.lts.num_states() ** 2:  # a finite rank lies below the pair count
+            if self.at_most(pair, self.lo[pair]):
+                return self.lo[pair]
+        raise InvalidRequest("refutation rank search did not converge")
+
+
+def generator_extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
+    """Minimal attacker trace refuting the start pair; raises if it survives.
+
+    Ranks are decided on demand (see `_GeneratorRankSearch`), only for pairs the trace
+    needs. From a pair of rank b the attacker plays the first challenge, in
+    (action, side, derivative) order, all of whose answers hold a
+    continuation of rank below b. The defender plays the answer whose best
+    such continuation has the highest rank, and the attacker follows the
+    lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
+    the pairs the search bounded. Answers come from `_respond` over the
+    graph's silent closures; the strong style reads none of them.
+    """
+    start = tuple(start)
+    if relates(*start):
+        raise InvalidRequest("pair is equivalent; nothing to refute")
+    game = _GeneratorRankSearch(lts, kind, relates)
+    steps, reason, final = [], "divergence-mismatch", ("", None)
+    pair, bound = start, game.rank(start)
+    while bound > 0:
+        for ch in sorted(_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
+            answers = tuple(game.answers(ch))
+            if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
+                break
+        if not answers:
+            reason, final = "no-match", ch[:2]
+            break
+
+        # the defender plays the (first) answer that survives longest; the
+        # attacker then follows the lowest-ranked continuation of that answer
+        def ranked(ans, below=bound - 1):
+            return sorted((game.rank(c), c) for c in ans if game.at_most(c, below))
+
+        best_ans = max(answers, key=lambda ans: ranked(ans)[0][0])
+        nxt = ranked(best_ans)[0][1]
+        rolled = len(best_ans) > 1 and nxt == best_ans[0]
+        steps.append(TraceStep(ch[0], ch[1], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
+        pair, bound = nxt, game.rank(nxt)
+    return AttackerTrace(kind, tuple(lts.states[i] for i in start), tuple(steps), reason, *final, rank_pairs=len(game.lo))
+
+
+def _same_search(lts, kind, start, relates) -> AttackerTrace:
+    """extract_trace, checked against the generator search; AttackerTrace
+    equality and to_json() leave rank_pairs out, so it is compared too."""
+    new = extract_trace(lts, kind, start, relates)
+    ref = generator_extract_trace(lts, kind, start, relates)
+    assert (new.to_json(), new.rank_pairs) == (ref.to_json(), ref.rank_pairs), (kind, start)
+    return new
+
+
+# ---------------------------------------------------------------------------
 # Cross-checks
 
 # Fixed here rather than read from PCALC_SEED: the comparison is exact, so
@@ -294,7 +446,7 @@ def test_on_demand_game_matches_reference_on_random_graphs():
                 for t in range(n):
                     if relates(s, t):
                         continue
-                    new = extract_trace(lts, kind, (s, t), relates)
+                    new = _same_search(lts, kind, (s, t), relates)
                     ref = ref_extract_trace(lts, kind, (s, t), relates, cls)
                     assert new.to_json() == ref.to_json(), (seed, kind, s, t)
                     refuted += 1
@@ -338,3 +490,60 @@ def test_deep_refutation_needs_no_recursion():
     assert verdict.outcome == "inequivalent"
     assert len(verdict.trace) == 300
     assert verdict.stats["rank_pairs"] >= 300
+
+
+# The pair-relations benchmark's terms (bench/workloads.py).
+W4F = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | a.a.'d.'d | !a | !'a | !d"
+P_SMALL = "a.a.'d | a.'d | a.a.a.'d | !a | !'a | !d"
+P_SMALL_DROP = "a.'d | a.a.'d | a.a.a.'d | 'd | !a | !'a | !d"
+
+
+def _spread(pairs, count):
+    """At most count of the pairs, evenly spaced over the whole list."""
+    return pairs[:: -(-len(pairs) // count)]
+
+
+def _unrelated(lts, kind):
+    rel = relation_pairs(lts, kind)[1]
+    n = lts.num_states()
+    return rel.relates, [(s, t) for s in range(n) for t in range(n) if not rel.relates(s, t)]
+
+
+def test_rank_search_matches_the_generator_search_on_benchmark_graphs():
+    # Both searches on 200 pairs per kind would take minutes: about 0.15 s a
+    # pair on the 42-state graph, and on the 322-state W4F graph up to 70 s a
+    # pair for the silent kinds (the first pair of the spread). So the 42-state graph gives 25
+    # pairs per kind, and W4F 200 strong pairs and, for the silent kinds, the
+    # last 5 pairs of that spread, among its deepest states.
+    small = union_lts([parse(P_SMALL), parse(P_SMALL_DROP)])
+    w4f = build_lts(parse(W4F))
+    compared = 0
+    for kind in CCSM_KINDS:
+        relates, unrelated = _unrelated(small, kind)
+        for start in _spread(unrelated, 25):
+            _same_search(small, kind, start, relates)
+            compared += 1
+        relates, unrelated = _unrelated(w4f, kind)
+        starts = _spread(unrelated, 200)
+        for start in starts if kind == "strong" else starts[-5:]:
+            _same_search(w4f, kind, start, relates)
+            compared += 1
+    assert compared == 5 * 25 + 200 + 4 * 5
+
+
+def test_rank_search_reads_each_response_set_in_place(monkeypatch):
+    calls = 0
+    answer = equivalence._answer
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return answer(*args)
+
+    monkeypatch.setattr(equivalence, "_answer", counted)
+    verdict = decide(parse(P_SMALL), parse(P_SMALL_DROP), "quasi-strong")
+    assert verdict.outcome == "inequivalent"
+    assert len(verdict.trace) == 10
+    assert verdict.stats["rank_pairs"] == 916
+    # the search itself makes no _answer calls; only the trace-level loop does
+    assert calls < 2000
