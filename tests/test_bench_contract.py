@@ -64,6 +64,11 @@ def test_traced_child_gives_pinned_results_and_numeric_layer_metrics():
     assert {"syntax.intern_size", "syntax.canon_cache_size", "semantics.step_cache_size"} <= layers.keys()
     bad = {k: v for k, v in layers.items() if type(v) not in (int, float)}
     assert not bad
+    # what pair_gfp takes and returns, as the benchmark counts it: the
+    # quasi-strong query seeds it with the one weak pair, which it splits
+    assert layers["equivalence.pair_gfp.quasi-strong.seed_pairs"] == 1
+    assert layers["equivalence.pair_gfp.quasi-strong.kept_pairs"] == 0
+    assert layers["equivalence.pair_gfp.quasi-strong.rounds"] == 2
 
 
 def test_harness_self_test_passes():

@@ -158,6 +158,59 @@ def test_coincidence_on_divergent_pair():
         assert key not in pairs
 
 
+# An 18-state pair, equivalent under all five kinds, and each verdict's JSON
+# as first captured: the witness of a partition kind lists its blocks, that
+# of a pair kind every related pair (i, j) with i <= j, identity included.
+WITNESS_PAIR = ("a.'d | a.a.'d | !a | !'a | !d | !a", "a.'d | a.a.'d | !a | !'a | !d")
+WEAK_BLOCKS = [[0, 1, 2, 3, 4, 5, 7, 9, 11, 13], [6, 8, 10, 12, 14, 15], [16, 17]]
+STRONG_PAIRS = [
+    [0, 0], [0, 1], [1, 1], [2, 2], [2, 4], [3, 3], [3, 5], [4, 4], [5, 5],
+    [6, 6], [6, 8], [7, 7], [7, 9], [8, 8], [9, 9], [10, 10], [10, 12], [11, 11],
+    [11, 13], [12, 12], [13, 13], [14, 14], [14, 15], [15, 15], [16, 16], [16, 17], [17, 17],
+]
+WITNESSES = {
+    "strong": ({"blocks": [[0, 1], [2, 4], [3, 5], [6, 8], [7, 9], [10, 12], [11, 13], [14, 15], [16, 17]]}, 6),
+    "weak": ({"blocks": WEAK_BLOCKS}, 3),
+    "branching": ({"blocks": WEAK_BLOCKS}, 3),
+    "quasi-strong": ({"pairs": STRONG_PAIRS}, 4),
+    "qs-branching": ({"pairs": STRONG_PAIRS}, 5),
+}
+
+
+@pytest.mark.parametrize("kind", CCSM_KINDS)
+def test_equivalent_verdict_json_is_pinned(kind):
+    witness, iterations = WITNESSES[kind]
+    verdict = decide(parse(WITNESS_PAIR[0]), parse(WITNESS_PAIR[1]), kind)
+    assert verdict.to_json(with_millis=False) == {
+        "outcome": "equivalent",
+        "kind": kind,
+        "witness": {"kind": kind, **witness},
+        "stats": {"states": 18, "iterations": iterations},
+    }
+
+
+def test_coincidence_report_json_is_pinned_on_the_smallest_weak_qs_split():
+    lts = union_lts([parse("a | 'a | !d | !'d"), parse("a | d.'a | !d | !'d")])
+    assert lts.initials == (0, 1) and lts.num_states() == 6
+    assert coincidence_report(lts).to_json() == {
+        "states": 6,
+        "weak=quasi-strong": False,
+        "weak=qs-branching": False,
+        "weak=branching": True,
+        "strong<=quasi-strong": True,
+        "quasi-strong<=weak": True,
+        "violations": [
+            {"relation": "weak vs quasi-strong", "pair": [0, 1]},
+            {"relation": "weak vs qs-branching", "pair": [0, 1]},
+        ],
+    }
+    # the independent oracle draws the same split
+    for kind in ("weak", "branching"):
+        assert (0, 1) in naive_relation(lts, kind), kind
+    for kind in ("quasi-strong", "qs-branching"):
+        assert (0, 1) not in naive_relation(lts, kind), kind
+
+
 def test_relation_checkers_match_oracle_on_random_graphs():
     rng = rng_from_env(31)
     for _ in range(25):

@@ -213,6 +213,37 @@ def test_replay_rejects_forged_defender_answers():
             replay_trace(replace(trace, steps=(forged,)))
 
 
+def _strong_trace():
+    """The strong refutation of a.b | 'd by a.c | 'd: the left plays a, then
+    b, which the defender's c | 'd cannot answer."""
+    trace = decide(parse("a.b | 'd"), parse("a.c | 'd"), "strong").trace
+    (first,) = trace.steps
+    assert first.side == "left" and trace.final_action.label() == "b" and replay_trace(trace)
+    return trace
+
+
+def test_replay_rejects_a_challenger_step_that_is_not_a_transition():
+    trace = _strong_trace()
+    (first,) = trace.steps
+    moved = replace(first, after=(canonicalize(parse("c | 'd")), first.after[1]))
+    with pytest.raises(ReplayError, match="challenger has no a step"):
+        replay_trace(replace(trace, steps=(moved,)))
+
+
+def test_replay_rejects_a_final_challenge_the_defender_answers():
+    trace = replace(_strong_trace(), final_action=Action.from_label("'d"))
+    with pytest.raises(ReplayError, match="defender still has an answer"):
+        replay_trace(trace)
+
+
+def test_replay_rejects_a_terminal_pair_with_equal_divergence():
+    trace = decide(parse("!(a | 'a)"), parse("a | 'a"), "weak").trace
+    assert trace.reason == "divergence-mismatch" and replay_trace(trace)
+    same = canonicalize(parse("a | 'a"))
+    with pytest.raises(ReplayError, match="terminal pair does not mismatch on divergence"):
+        replay_trace(replace(trace, start=(same, same)))
+
+
 def test_exact_inequivalence_traces_replay_for_all_kinds():
     lts = union_lts([parse("a.'b | 'a"), parse("'b")], Bounds(64, 64))
     s, t = lts.initials
