@@ -8,9 +8,10 @@ over terms serves the first-order game and the higher-order context game
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
-quasi-strong-branching bisimilarity; the last two are reported as pair
-relations, refined from the weak or branching classes. Refuted pairs come with
-a minimal, replayable attacker trace, built from ranks searched on demand.
+quasi-strong-branching bisimilarity. Each is an equivalence, returned as a
+`Partition` of the graph's states; the last two are refined from the weak or
+branching classes. Refuted pairs come with a minimal, replayable attacker
+trace, built from ranks searched on demand.
 
 A strong signature is read off a state's own moves. The others are built once
 per silent-step SCC, sinks first, from the SCC's own moves and the signatures
@@ -61,24 +62,16 @@ class Partition:
             groups.setdefault(b, []).append(s)
         return tuple(tuple(g) for _b, g in sorted(groups.items()))
 
+    @property
     def pairs(self) -> frozenset:
+        """The related pairs (i, j) with i < j."""
         return frozenset(p for block in self.blocks for p in itertools.combinations(block, 2))
 
     def to_json(self) -> dict:
+        if self.kind in PAIR_KINDS:  # every related (i, j) with i <= j
+            pairs = sorted([s, t] for block in self.blocks for i, s in enumerate(block) for t in block[i:])
+            return {"kind": self.kind, "pairs": pairs}
         return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
-
-
-@dataclass
-class PairRelation:
-    kind: str
-    pairs: frozenset  # normalized (i, j) with i <= j, identity included
-    iterations: int = 0
-
-    def relates(self, s: int, t: int) -> bool:
-        return (min(s, t), max(s, t)) in self.pairs
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "pairs": sorted([list(p) for p in self.pairs])}
 
 
 @dataclass
@@ -319,31 +312,26 @@ def _silent_signatures(lts: Lts, kind: str):
     return signatures
 
 
-def pair_gfp(lts: Lts, kind: str, seed_pairs) -> PairRelation:
-    """Largest kind-bisimulation within the seed, the pairs of an equivalence:
-    the seed's classes, split by the divergence flag and refined by kind
-    signatures. `iterations` counts the refinement rounds."""
+def pair_gfp(lts: Lts, kind: str, seed_pairs) -> Partition:
+    """Largest kind-bisimulation within the seed, an equivalence: the seed's
+    classes, split by the divergence flag and refined by kind signatures.
+    `iterations` counts the refinement rounds."""
     if lts.truncated:
         raise TruncatedInput("pair relations need a complete graph")
-    n = lts.num_states()
-    least = list(range(n))  # the least member of each state's seed class
+    least = list(range(lts.num_states()))  # the least member of each state's seed class
     for pair in seed_pairs:
         i, j = sorted(pair)
         least[j] = min(least[j], i)
-    part = _refine(lts, kind, _index_groups(list(zip(least, lts.diverges))))
-    return PairRelation(kind, part.pairs() | {(s, s) for s in range(n)}, part.iterations)
+    return _refine(lts, kind, _index_groups(list(zip(least, lts.diverges))))
 
 
-def relation_pairs(lts: Lts, kind: str, parts: dict = None):
-    """Normalized equivalent-pair set for any of the five kinds."""
-    if kind in PARTITION_KINDS:
-        part = parts[kind] if parts and kind in parts else compute_partition(lts, kind)
-        return part.pairs() | {(s, s) for s in range(lts.num_states())}, part
-    # each pair kind lies within its transfer style's partition kind
-    base = "weak" if kind == "quasi-strong" else "branching"
-    seed = parts[base] if parts and base in parts else compute_partition(lts, base)
-    rel = pair_gfp(lts, kind, seed.pairs())
-    return rel.pairs, rel
+def relation(lts: Lts, kind: str, parts: dict = None) -> Partition:
+    """The equivalence of any of the five kinds, reusing the partitions in parts."""
+    if kind in PAIR_KINDS:
+        # each pair kind lies within its transfer style's partition kind
+        base = "weak" if kind == "quasi-strong" else "branching"
+        return pair_gfp(lts, kind, relation(lts, base, parts).pairs)
+    return (parts or {}).get(kind) or compute_partition(lts, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +547,7 @@ def check_pair(lts: Lts, s: int, t: int, kind: str) -> Verdict:
         raise ValueError(f"check_pair handles {PAIR_KINDS}, not {kind!r}")
     if lts.truncated:
         raise TruncatedInput("check_pair needs a complete graph")
-    return _verdict(lts, s, t, relation_pairs(lts, kind)[1])
+    return _verdict(lts, s, t, relation(lts, kind))
 
 
 def _verdict(lts: Lts, s: int, t: int, rel) -> Verdict:
@@ -672,7 +660,7 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
     parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
-    pairs = {k: relation_pairs(lts, k, parts)[0] for k in CCSM_KINDS}
+    pairs = {k: relation(lts, k, parts).pairs for k in CCSM_KINDS}
     weak, qs = pairs["weak"], pairs["quasi-strong"]
     violations = []
 
@@ -862,9 +850,7 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     s, t = lts.initials[0], lts.initials[-1]
     stats = {"states": lts.num_states()}
     if not lts.truncated:
-        if kind in PARTITION_KINDS:
-            return _verdict(lts, s, t, compute_partition(lts, kind))
-        return check_pair(lts, s, t, kind)
+        return _verdict(lts, s, t, relation(lts, kind))
     # truncated: sound refutations only
     div_l, div_r = lts.diverges[s], lts.diverges[t]
     if {div_l, div_r} == {semantics.DIV_YES, semantics.DIV_NO}:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
-from .equivalence import AttackerTrace, InvalidRequest, compute_partition, extract_trace, relation_pairs
+from .equivalence import AttackerTrace, InvalidRequest, compute_partition, extract_trace, relation
 from .semantics import Action, Bounds, Lts, SilentClosures, build_lts, components, step, union_lts
 from .syntax import Term, canonical_par, canonicalize, parse, render, term_key
 
@@ -355,10 +355,10 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
     modal distinguishing formula is synthesized too when one exists."""
     if lts.truncated:
         raise equivalence.TruncatedInput("evidence extraction needs a complete graph")
-    pairs, _rel = relation_pairs(lts, kind)
-    if (min(s, t), max(s, t)) in pairs:
+    rel = relation(lts, kind)
+    if rel.relates(s, t):
         raise InvalidRequest("states are equivalent under this kind")
-    trace = extract_trace(lts, kind, (s, t), lambda a, b: (min(a, b), max(a, b)) in pairs)
+    trace = extract_trace(lts, kind, (s, t), rel.relates)
     replay_trace(trace, tau_bound=lts.num_states())
     formula = distinguishing_formula(lts, s, t) if kind == "strong" else None
     if formula is not None:

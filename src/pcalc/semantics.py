@@ -626,9 +626,6 @@ class SaturatedLts:
     mode: str  # 'weak' | 'delay'
     derived: list  # (src, Action, dst) incl. reflexive => as (s, tau, s)
 
-    def primitive_edges(self):
-        return list(self.lts.edges)
-
 
 def saturate(lts: Lts, mode: str) -> SaturatedLts:
     if mode not in ("weak", "delay"):

@@ -97,7 +97,7 @@ def _tau_reach(lts):
 
 def naive_relation(lts, kind):
     """Largest divergence-sensitive kind-bisimulation by pair deletion,
-    returned as normalized (i, j) pairs with identity included."""
+    returned as its pairs (i, j) with i < j."""
     n = lts.num_states()
     reach = _tau_reach(lts)
 
@@ -154,4 +154,4 @@ def naive_relation(lts, kind):
                 R.discard((p, q))
                 R.discard((q, p))
                 changed = True
-    return frozenset((min(p, q), max(p, q)) for p, q in R)
+    return frozenset((p, q) for p, q in R if p < q)

@@ -33,7 +33,7 @@ from pcalc.equivalence import (
     classify_tau,
     coincidence_report,
     compute_partition,
-    relation_pairs,
+    relation,
 )
 from pcalc.evidence import Certificate, check_certificate
 from pcalc.genterms import random_ccsm, random_graph_lts, rng_from_env
@@ -357,8 +357,7 @@ def test_criterion_8_oracle_agreement(capsys):
     for _ in range(100):
         lts = random_graph_lts(rng, max_states=50)
         for kind in CCSM_KINDS:
-            mine, _ = relation_pairs(lts, kind)
-            assert mine == naive_relation(lts, kind), kind
+            assert relation(lts, kind).pairs == naive_relation(lts, kind), kind
     rng2 = rng_from_env(82)
     for _ in range(10_000):
         t = random_ccsm(rng2, rng2.randint(1, 10))

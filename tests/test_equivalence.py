@@ -12,7 +12,7 @@ from pcalc.equivalence import (
     coincidence_report,
     compute_partition,
     decide,
-    relation_pairs,
+    relation,
 )
 from pcalc.genterms import random_graph_lts, rng_from_env
 from pcalc.semantics import Action, Bounds, Lts, _divergence_flags, build_lts, union_lts
@@ -143,9 +143,7 @@ def test_coincidence_on_silent_free_graph():
     lts = build_lts(parse("a.b | c.d"), Bounds(100, 100))
     report = coincidence_report(lts)
     assert report.ok
-    strong_pairs, _ = relation_pairs(lts, "strong")
-    weak_pairs, _ = relation_pairs(lts, "weak")
-    assert strong_pairs == weak_pairs
+    assert relation(lts, "strong").pairs == relation(lts, "weak").pairs
 
 
 def test_coincidence_on_divergent_pair():
@@ -153,9 +151,7 @@ def test_coincidence_on_divergent_pair():
     report = coincidence_report(lts)
     assert report.ok
     for kind in CCSM_KINDS:
-        pairs, _ = relation_pairs(lts, kind)
-        key = (min(lts.initials), max(lts.initials))
-        assert key not in pairs
+        assert not relation(lts, kind).relates(*lts.initials)
 
 
 # An 18-state pair, equivalent under all five kinds, and each verdict's JSON
@@ -216,19 +212,16 @@ def test_relation_checkers_match_oracle_on_random_graphs():
     for _ in range(25):
         lts = random_graph_lts(rng, max_states=16)
         for kind in CCSM_KINDS:
-            mine, _ = relation_pairs(lts, kind)
-            assert mine == naive_relation(lts, kind), kind
+            assert relation(lts, kind).pairs == naive_relation(lts, kind), kind
 
 
 def test_inclusions_hold_on_arbitrary_graphs():
     rng = rng_from_env(32)
     for _ in range(25):
         lts = random_graph_lts(rng, max_states=14)
-        strong, _ = relation_pairs(lts, "strong")
-        qs, _ = relation_pairs(lts, "quasi-strong")
-        weak, _ = relation_pairs(lts, "weak")
-        qsb, _ = relation_pairs(lts, "qs-branching")
-        branching, _ = relation_pairs(lts, "branching")
+        strong, qs, weak, qsb, branching = (
+            relation(lts, kind).pairs for kind in ("strong", "quasi-strong", "weak", "qs-branching", "branching")
+        )
         assert strong <= qs <= weak
         assert qsb <= branching <= weak
 
@@ -295,12 +288,8 @@ def test_quasi_strong_is_strictly_finer_than_weak_on_guarded_redundancy():
     s, t = lts.initials
     key = (min(s, t), max(s, t))
 
-    weak_pairs, _ = relation_pairs(lts, "weak")
-    branching_pairs, _ = relation_pairs(lts, "branching")
-    qs_pairs, _ = relation_pairs(lts, "quasi-strong")
-    qsb_pairs, _ = relation_pairs(lts, "qs-branching")
-    assert key in weak_pairs and key in branching_pairs
-    assert key not in qs_pairs and key not in qsb_pairs
+    assert relation(lts, "weak").relates(s, t) and relation(lts, "branching").relates(s, t)
+    assert not relation(lts, "quasi-strong").relates(s, t) and not relation(lts, "qs-branching").relates(s, t)
 
     # the independent oracle sees the same split
     assert key in naive_relation(lts, "weak")

@@ -1,8 +1,9 @@
 """The pair game's fixpoint and refutation search against a frozen reference.
 
-The reference below is the earlier round-based implementation, kept verbatim:
-list-building answers, naive pair deletion, and ranks computed over the
-whole reachable pair universe, one rank per round. It reads its own eager
+The reference below is the earlier round-based implementation, kept verbatim
+but for returning its relation as a pair set: list-building answers, naive
+pair deletion, and ranks computed over the whole reachable pair universe, one
+rank per round. It reads its own eager
 closure tables, built as the earlier `semantics.closures` built them. The
 signature refinement and the on-demand rank search in `pcalc.equivalence`
 must give the same pair sets and the same traces.
@@ -22,7 +23,6 @@ from pcalc.equivalence import (
     PARTITION_KINDS,
     AttackerTrace,
     InvalidRequest,
-    PairRelation,
     TraceStep,
     TruncatedInput,
     _answer,
@@ -32,7 +32,7 @@ from pcalc.equivalence import (
     decide,
     extract_trace,
     pair_gfp,
-    relation_pairs,
+    relation,
 )
 from pcalc.genterms import finite_state_corpus, random_graph_lts
 from pcalc.semantics import Action, Bounds, Lts, build_lts, closures, union_lts
@@ -118,8 +118,9 @@ def _pair_ok(lts: Lts, cls: Closures, kind: str, pair, relate) -> bool:
     return True
 
 
-def ref_pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairRelation:
-    """Largest kind-bisimulation contained in the seed (normalized pairs)."""
+def ref_pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> frozenset:
+    """Largest kind-bisimulation contained in the seed, as its pairs (i, j)
+    with i < j."""
     if lts.truncated:
         raise TruncatedInput("pair relations need a complete graph")
     if cls is None:
@@ -130,16 +131,14 @@ def ref_pair_gfp(lts: Lts, kind: str, seed_pairs, cls: Closures = None) -> PairR
     def relate(a, b):
         return _norm(a, b) in R
 
-    iterations = 0
     changed = True
     while changed:
-        iterations += 1
         changed = False
         for pair in sorted(R):
             if not _pair_ok(lts, cls, kind, pair, relate):
                 R.discard(pair)
                 changed = True
-    return PairRelation(kind, frozenset(R), iterations)
+    return frozenset((i, j) for i, j in R if i < j)
 
 
 def _rank_game(lts: Lts, cls: Closures, kind: str, start, relates):
@@ -414,14 +413,11 @@ def _relations(lts, cls):
     out = {}
     for kind in CCSM_KINDS:
         if kind in PARTITION_KINDS:
-            part = compute_partition(lts, kind)
-            pairs = set(part.pairs()) | {(s, s) for s in range(lts.num_states())}
+            pairs = compute_partition(lts, kind).pairs
         else:
-            new = pair_gfp(lts, kind, everything)
-            ref = ref_pair_gfp(lts, kind, everything, cls)
-            assert new.pairs == ref.pairs, kind
-            pairs = new.pairs
-        out[kind] = frozenset(pairs)
+            pairs = pair_gfp(lts, kind, everything).pairs
+            assert pairs == ref_pair_gfp(lts, kind, everything, cls), kind
+        out[kind] = pairs | {(s, s) for s in range(lts.num_states())}
     return out
 
 
@@ -435,8 +431,8 @@ def test_on_demand_game_matches_reference_on_random_graphs():
             # the fixpoint also agrees when seeded with the coarser relation
             if kind in ("quasi-strong", "qs-branching"):
                 base = "weak" if kind == "quasi-strong" else "branching"
-                seed_pairs = compute_partition(lts, base).pairs()
-                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls).pairs
+                seed_pairs = compute_partition(lts, base).pairs
+                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls)
                 fixpoints += 1
 
             def relates(a, b, pairs=pairs):
@@ -464,8 +460,8 @@ def test_refinement_matches_reference_on_term_graphs():
         cyclic += any(lts.silent_sccs().cyclic)
         everything = [(i, j) for i in range(lts.num_states()) for j in range(i + 1, lts.num_states())]
         for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):
-            for seed_pairs in (everything, compute_partition(lts, base).pairs()):
-                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls).pairs
+            for seed_pairs in (everything, compute_partition(lts, base).pairs):
+                assert pair_gfp(lts, kind, seed_pairs).pairs == ref_pair_gfp(lts, kind, seed_pairs, cls)
                 fixpoints += 1
     assert fixpoints == 4 * 60
     assert cyclic > 0
@@ -504,7 +500,7 @@ def _spread(pairs, count):
 
 
 def _unrelated(lts, kind):
-    rel = relation_pairs(lts, kind)[1]
+    rel = relation(lts, kind)
     n = lts.num_states()
     return rel.relates, [(s, t) for s in range(n) for t in range(n) if not rel.relates(s, t)]
 
