@@ -3,10 +3,10 @@
 The reference below is the earlier round-based implementation, kept verbatim
 but for returning its relation as a pair set: list-building answers, naive
 pair deletion, and ranks computed over the whole reachable pair universe, one
-rank per round. It reads its own eager
-closure tables, built as the earlier `semantics.closures` built them. The
-signature refinement and the on-demand rank search in `pcalc.equivalence`
-must give the same pair sets and the same traces.
+rank per round. It reads its own eager closure tables, built as the earlier
+`semantics.closures` built them. The signature refinement and the on-demand
+rank search in `pcalc.equivalence` must give the same pair sets and the same
+traces.
 
 A second reference keeps the on-demand rank search as it was before it
 walked the memoised responses in place: it resumed the `answers` generator
