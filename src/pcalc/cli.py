@@ -61,25 +61,24 @@ def _load_terms(paths, dialect):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pcalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    bounds = argparse.ArgumentParser(add_help=False)  # the state graph's bounds
+    bounds.add_argument("--max-states", type=int, default=2000)
+    bounds.add_argument("--max-depth", type=int, default=64)
 
     p_parse = sub.add_parser("parse", help="parse a term and print its canonical form")
     p_parse.add_argument("file")
     p_parse.add_argument("--dialect", choices=("ccsm", "hoccsm"))
     p_parse.add_argument("--json", action="store_true")
 
-    p_lts = sub.add_parser("lts", help="build the bounded state graph of a term")
+    p_lts = sub.add_parser("lts", parents=[bounds], help="build the bounded state graph of a term")
     p_lts.add_argument("file")
-    p_lts.add_argument("--max-states", type=int, default=2000)
-    p_lts.add_argument("--max-depth", type=int, default=64)
     p_lts.add_argument("--dot", metavar="OUT.dot")
     p_lts.add_argument("--json", action="store_true")
 
-    p_check = sub.add_parser("check", help="compare two terms under an equivalence")
+    p_check = sub.add_parser("check", parents=[bounds], help="compare two terms under an equivalence")
     p_check.add_argument("--equiv", required=True, choices=CHECK_KINDS)
     p_check.add_argument("files", nargs="+", metavar="FILE")
     p_check.add_argument("--dialect", choices=("ccsm", "hoccsm"))
-    p_check.add_argument("--max-states", type=int, default=2000)
-    p_check.add_argument("--max-depth", type=int, default=64)
     p_check.add_argument("--game-depth", type=int, default=6)
     p_check.add_argument(
         "--tau-bound",
@@ -90,16 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--contexts-family", help="comma-separated terms with hole variable X")
     p_check.add_argument("--json", action="store_true")
 
-    p_div = sub.add_parser("diverges", help="divergence verdict for a term")
+    p_div = sub.add_parser("diverges", parents=[bounds], help="divergence verdict for a term")
     p_div.add_argument("file")
-    p_div.add_argument("--max-states", type=int, default=2000)
-    p_div.add_argument("--max-depth", type=int, default=64)
     p_div.add_argument("--json", action="store_true")
 
-    p_tau = sub.add_parser("tau-classify", help="label silent steps and report per-state k")
+    p_tau = sub.add_parser("tau-classify", parents=[bounds], help="label silent steps and report per-state k")
     p_tau.add_argument("file")
-    p_tau.add_argument("--max-states", type=int, default=2000)
-    p_tau.add_argument("--max-depth", type=int, default=64)
     p_tau.add_argument("--json", action="store_true")
 
     p_cert = sub.add_parser("certify", help="check a candidate relation file")
@@ -146,9 +141,14 @@ def _cmd_parse(args) -> int:
     return EXIT_YES
 
 
-def _cmd_lts(args) -> int:
+def _load_lts(args):
+    """The bounded state graph of the one term in args.file."""
     (term, _d), = _load_terms([args.file], None)
-    lts = build_lts(term, Bounds(args.max_states, args.max_depth))
+    return build_lts(term, Bounds(args.max_states, args.max_depth))
+
+
+def _cmd_lts(args) -> int:
+    lts = _load_lts(args)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(lts.to_dot() + "\n")
@@ -211,8 +211,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diverges(args) -> int:
-    (term, _d), = _load_terms([args.file], None)
-    lts = build_lts(term, Bounds(args.max_states, args.max_depth))
+    lts = _load_lts(args)
     flag = lts.diverges[lts.initial]
     if args.json:
         print(_dump({"diverges": flag, "truncated": lts.truncated, "states": lts.num_states()}))
@@ -222,8 +221,7 @@ def _cmd_diverges(args) -> int:
 
 
 def _cmd_tau_classify(args) -> int:
-    (term, _d), = _load_terms([args.file], None)
-    lts = build_lts(term, Bounds(args.max_states, args.max_depth))
+    lts = _load_lts(args)
     if lts.truncated:
         print("graph truncated; raise --max-states/--max-depth", file=sys.stderr)
         return EXIT_UNKNOWN

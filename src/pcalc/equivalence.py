@@ -660,29 +660,41 @@ def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
     parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
-    pairs = {k: relation(lts, k, parts).pairs for k in CCSM_KINDS}
-    weak, qs = pairs["weak"], pairs["quasi-strong"]
+    rels = {k: relation(lts, k, parts) for k in CCSM_KINDS}
+    weak, qs = rels["weak"], rels["quasi-strong"]
     violations = []
 
-    def diff(name, left, right):
-        for pair in sorted(left ^ right):
-            violations.append({"relation": name, "pair": list(pair)})
+    def report(name, pairs):
+        violations.extend({"relation": name, "pair": list(pair)} for pair in sorted(pairs))
 
     for other in ("quasi-strong", "qs-branching", "branching"):
-        diff(f"weak vs {other}", weak, pairs[other])
-    for pair in sorted(pairs["strong"] - qs):
-        violations.append({"relation": "strong not within quasi-strong", "pair": list(pair)})
-    for pair in sorted(qs - weak):
-        violations.append({"relation": "quasi-strong not within weak", "pair": list(pair)})
+        report(f"weak vs {other}", _only_in(weak, rels[other]) + _only_in(rels[other], weak))
+    strong_not_qs, qs_not_weak = _only_in(rels["strong"], qs), _only_in(qs, weak)
+    report("strong not within quasi-strong", strong_not_qs)
+    report("quasi-strong not within weak", qs_not_weak)
     return CoincidenceReport(
         lts.num_states(),
-        weak == qs,
-        weak == pairs["qs-branching"],
-        weak == pairs["branching"],
-        pairs["strong"] <= qs,
-        qs <= weak,
+        weak.block_of == qs.block_of,  # blocks are numbered by first member
+        weak.block_of == rels["qs-branching"].block_of,
+        weak.block_of == rels["branching"].block_of,
+        not strong_not_qs,
+        not qs_not_weak,
         violations,
     )
+
+
+def _only_in(left: Partition, right: Partition) -> list:
+    """The pairs (i, j), i < j, that left relates and right does not, from
+    the blocks of left that right splits."""
+    other = right.block_of
+    return [
+        (s, t)
+        for block in left.blocks
+        if len({other[u] for u in block}) > 1
+        for i, s in enumerate(block)
+        for t in block[i + 1 :]
+        if other[s] != other[t]
+    ]
 
 
 # ---------------------------------------------------------------------------

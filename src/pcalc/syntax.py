@@ -215,21 +215,23 @@ def dialect_of(p: Term) -> str:
 # Term order
 #
 # Rank order: Nil < Var < input prefix < output prefix < Repl < Par, with
-# lexicographic tie-breaking. Bound variables are keyed by binder index so the
-# order is invariant under alpha-renaming; the order is purely syntactic.
-# A term with no variable node keys alike in every binder environment, so its
-# key is cached on the node.
+# lexicographic tie-breaking; the order is purely syntactic. A bound variable
+# keys by its distance to its binder, `lvl - depth` (de Bruijn, "Lambda
+# calculus notation with nameless dummies", Indag. Math. 1972), so the order
+# is invariant under alpha-renaming, and a closed term keys alike at every
+# depth and has its key cached on the node. Two variable keys are compared
+# only at the same position of two keys, that is under the same number of
+# binders, where `lvl - depth` orders them as the binder's depth `lvl` does.
 
 
 def _key(p: Term, env: dict, depth: int):
-    if not p._hv:
-        k = getattr(p, "_k", None)
-        if k is not None:
-            return k
+    if p._hv and free_vars(p):
+        return _key_compute(p, env, depth)
+    k = getattr(p, "_k", None)
+    if k is None:
         k = _key_compute(p, env, depth)
         object.__setattr__(p, "_k", k)
-        return k
-    return _key_compute(p, env, depth)
+    return k
 
 
 def _key_compute(p: Term, env: dict, depth: int):
@@ -239,7 +241,7 @@ def _key_compute(p: Term, env: dict, depth: int):
         lvl = env.get(p.name)
         if lvl is None:
             return (1, 0, p.name)
-        return (1, 1, lvl)
+        return (1, 1, lvl - depth)
     if isinstance(p, InputPrefix):
         return (2, p.name, _key(p.cont, env, depth))
     if isinstance(p, HoInput):
@@ -259,22 +261,7 @@ def _key_compute(p: Term, env: dict, depth: int):
 
 def term_key(p: Term):
     """Sort key realizing the total term order on canonical terms."""
-    k = getattr(p, "_k", None)
-    if k is not None:
-        return k
-    if p._hv and not free_vars(p):
-        return _closed_key(p)
     return _key(p, {}, 0)
-
-
-def _closed_key(p: Term):
-    """term_key of a closed term, cached on the node: under no binder, a
-    closed term keys alike."""
-    k = getattr(p, "_tk", None)
-    if k is None:
-        k = (5, tuple(map(_closed_key, p.parts))) if isinstance(p, Par) else _key(p, {}, 0)
-        object.__setattr__(p, "_tk", k)
-    return k
 
 
 def flat_key(p: Term) -> tuple:
@@ -361,7 +348,7 @@ def _shift(p: Term, offset: int) -> Term:
     s = _shift_memo.get((p, offset))
     if s is None:
         s = _shift_memo[p, offset] = _rename(p, {}, [offset], frozenset())
-        object.__setattr__(s, "_tk", _closed_key(p))
+        object.__setattr__(s, "_k", term_key(p))
         _canon_cache[s] = p
     return s
 
@@ -400,7 +387,7 @@ def _canon(p: Term, env: dict, depth: int) -> Term:
         if len(parts) == 1:
             return parts[0]
         # the whole term's binders are renamed once, after it is sorted;
-        # bound variables key by their binder's depth
+        # bound variables key by their distance to their binder
         parts.sort(key=lambda t: _key(t, env, depth))
         return Par(tuple(parts))
     raise TypeError(f"cannot canonicalize: {p!r}")

@@ -6,9 +6,18 @@ every binder of it in traversal order. `pcalc.syntax.canonical_par` builds
 every closed parallel, first-order or higher-order, from its parts'
 canonical forms and renames each part from its own binder offset instead,
 and must give equal canonical forms.
+
+The reference's term order is the earlier one too: `_key` keys a bound
+variable by its binder's absolute depth and caches the key of a term with no
+variable node only. `pcalc.syntax` keys a bound variable by its distance to
+its binder and caches the key of every closed term, and must order terms
+alike.
 """
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,19 +37,56 @@ from pcalc.syntax import (
     Repl,
     Term,
     Var,
-    _key,
     canonical_par,
     canonicalize,
     free_vars,
     interned,
     parse,
     subterms,
+    term_key,
 )
 
 # ---------------------------------------------------------------------------
 # Reference implementation (verbatim)
 
 _FIRST_ORDER = (InputPrefix, OutputPrefix, Repl)
+
+
+def _key(p: Term, env: dict, depth: int):
+    # its own cache attribute: no key the live order caches reaches it
+    if not p._hv:
+        k = getattr(p, "_ref_k", None)
+        if k is not None:
+            return k
+        k = _key_compute(p, env, depth)
+        object.__setattr__(p, "_ref_k", k)
+        return k
+    return _key_compute(p, env, depth)
+
+
+def _key_compute(p: Term, env: dict, depth: int):
+    if isinstance(p, Nil):
+        return (0,)
+    if isinstance(p, Var):
+        lvl = env.get(p.name)
+        if lvl is None:
+            return (1, 0, p.name)
+        return (1, 1, lvl)
+    if isinstance(p, InputPrefix):
+        return (2, p.name, _key(p.cont, env, depth))
+    if isinstance(p, HoInput):
+        inner = dict(env)
+        inner[p.var] = depth
+        return (2, p.channel, _key(p.body, inner, depth + 1))
+    if isinstance(p, OutputPrefix):
+        return (3, p.name, _key(p.cont, env, depth))
+    if isinstance(p, HoOutput):
+        return (3, p.channel, _key(p.message, env, depth), _key(p.cont, env, depth))
+    if isinstance(p, Repl):
+        return (4, _key(p.body, env, depth))
+    if isinstance(p, Par):
+        return (5, tuple(_key(q, env, depth) for q in p.parts))
+    raise TypeError(f"not a term: {p!r}")
 
 
 def _needs_rename(p: Term) -> bool:
@@ -144,9 +190,18 @@ def _closed_terms(rng, count):
     return out
 
 
+def _assert_ordered_as_the_reference(terms):
+    # the same sorted order, and the same ties between neighbours in it
+    ranked = sorted(terms, key=lambda t: _key(t, {}, 0))
+    assert sorted(terms, key=term_key) == ranked
+    for a, b in zip(ranked, ranked[1:]):
+        assert (term_key(a) == term_key(b)) == (_key(a, {}, 0) == _key(b, {}, 0)), (a, b)
+
+
 def test_random_closed_terms_canonicalize_as_the_reference():
     rng = random.Random(SEED)
     wide = 0
+    keyed = []
     for t in _closed_terms(rng, 400):
         roll = rng.random()
         if roll < 0.3:
@@ -157,7 +212,17 @@ def test_random_closed_terms_canonicalize_as_the_reference():
         assert c == ref_canonicalize(t), t
         assert canonicalize(c) is c
         wide += _is_closed_ho_par(t)
+        keyed += (t, c)
     assert wide >= 100
+    # open terms too: their free variables key by name, their bound ones
+    # by binder; terms of equal shape make the ties
+    for _ in range(400):
+        t = random_hoccsm(rng, rng.randint(1, 14), scope=("Y", "Z"))
+        keyed += (t, canonicalize(t))
+    # and every subterm, whose key sorting put in a cache under binders
+    keyed = [s for t in keyed for s in subterms(t)]
+    assert sum(bool(free_vars(t)) for t in keyed) >= 1000
+    _assert_ordered_as_the_reference(keyed)
 
 
 def test_parallels_of_parts_from_different_terms_canonicalize_as_the_reference():
@@ -401,9 +466,43 @@ def test_the_deepest_nesting_of_parallels_without_a_variable_node_parse_accepts_
     assert canonicalize(c) is c
 
 
-def test_higher_order_nesting_canonicalizes_at_three_quarters_of_the_deepest_parse_accepts():
-    def make(n):
-        return "a(X).('b<X>.0 | " * n + "0" + ")" * n
+def _ho_nest(n):
+    return "a(X).('b<X>.0 | " * n + "0" + ")" * n
 
-    c = canonicalize(parse(make(3 * _deepest(make, "hoccsm") // 4), dialect="hoccsm"))
-    assert canonicalize(c) is c
+
+def test_a_higher_order_nest_keys_each_level_a_bounded_number_of_times(monkeypatch):
+    # every level's inner input is closed, so its key is cached once computed
+    # and no level re-keys the nest below it (quadratic: 19,899 at 100 levels)
+    n = 100
+    term = parse(_ho_nest(n), dialect="hoccsm")
+    c, _renamed, keyed = _count_work(monkeypatch, lambda: canonicalize(term))
+    assert c == ref_canonicalize(term)
+    assert len(keyed) <= 10 * n
+
+
+# Run at the top of a fresh interpreter, where parse's recursion has the
+# whole stack: the deepest nest parse accepts, then every depth up to it.
+_EVERY_NEST_DEPTH = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from pcalc.syntax import canonicalize, parse
+from test_closed_canon import _deepest, _ho_nest
+
+deepest = _deepest(_ho_nest, "hoccsm")
+for n in range(1, deepest + 1):
+    c = canonicalize(parse(_ho_nest(n), dialect="hoccsm"))
+    assert canonicalize(c) is c, n
+print(deepest)
+"""
+
+
+def test_every_higher_order_nest_parse_accepts_canonicalizes():
+    src = Path(syntax.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVERY_NEST_DEPTH, str(src), str(Path(__file__).resolve().parent)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) > 100

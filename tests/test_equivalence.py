@@ -5,7 +5,9 @@ from pcalc.equivalence import (
     CCSM_KINDS,
     PAIR_KINDS,
     PARTITION_KINDS,
+    CoincidenceReport,
     TruncatedInput,
+    _only_in,
     bounded_game,
     check_pair,
     classify_tau,
@@ -205,6 +207,52 @@ def test_coincidence_report_json_is_pinned_on_the_smallest_weak_qs_split():
         assert (0, 1) in naive_relation(lts, kind), kind
     for kind in ("quasi-strong", "qs-branching"):
         assert (0, 1) not in naive_relation(lts, kind), kind
+
+
+def _pair_set_coincidence_report(lts):
+    """coincidence_report as it was when it compared the five relations as
+    pair sets, kept verbatim."""
+    parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
+    pairs = {k: relation(lts, k, parts).pairs for k in CCSM_KINDS}
+    weak, qs = pairs["weak"], pairs["quasi-strong"]
+    violations = []
+
+    def diff(name, left, right):
+        for pair in sorted(left ^ right):
+            violations.append({"relation": name, "pair": list(pair)})
+
+    for other in ("quasi-strong", "qs-branching", "branching"):
+        diff(f"weak vs {other}", weak, pairs[other])
+    for pair in sorted(pairs["strong"] - qs):
+        violations.append({"relation": "strong not within quasi-strong", "pair": list(pair)})
+    for pair in sorted(qs - weak):
+        violations.append({"relation": "quasi-strong not within weak", "pair": list(pair)})
+    return CoincidenceReport(
+        lts.num_states(),
+        weak == qs,
+        weak == pairs["qs-branching"],
+        weak == pairs["branching"],
+        pairs["strong"] <= qs,
+        qs <= weak,
+        violations,
+    )
+
+
+def test_coincidence_report_matches_the_pair_set_version_on_random_graphs():
+    rng = rng_from_env(34)
+    split = 0
+    for _ in range(150):
+        lts = random_graph_lts(rng, max_states=rng.choice((6, 12, 24)))
+        report = coincidence_report(lts)
+        assert report.to_json() == _pair_set_coincidence_report(lts).to_json()
+        split += not report.equal_weak_qs
+        # the inclusions hold on every graph, so the pairs one relation
+        # relates and another does not are checked in both directions here
+        rels = [relation(lts, kind) for kind in CCSM_KINDS]
+        for left in rels:
+            for right in rels:
+                assert sorted(_only_in(left, right)) == sorted(left.pairs - right.pairs), (left.kind, right.kind)
+    assert split >= 20
 
 
 def test_relation_checkers_match_oracle_on_random_graphs():
