@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -152,7 +153,9 @@ def compute_partition(lts: Lts, kind: str) -> Partition:
     """Coarsest divergence-sensitive partition for the given transfer style.
 
     The initial partition splits by the divergence flag; each round then
-    splits blocks by transition signatures until nothing changes.
+    splits blocks by transition signatures until nothing changes. A round
+    signs only the states in blocks of at least two members, plus the silent
+    SCCs those states read; `iterations` still counts the confirming round.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"not a partition kind: {kind!r}")
@@ -163,12 +166,24 @@ def compute_partition(lts: Lts, kind: str) -> Partition:
 
 def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
     """Splits the blocks of block_of by kind signatures until a round splits
-    none. `history`, when given, receives each partition a round changed."""
+    none. `history`, when given, receives each partition a round changed.
+
+    A state alone in its block can never split again, so a round signs only
+    the live states, those in blocks of at least two members (`live` None:
+    every state is live). The others sign as None, and their blocks alone
+    set them apart, so every round numbers its blocks, and counts its
+    rounds, as if it had signed every state. A round with no live state is
+    the confirming round: it counts, and computes nothing.
+    """
     signatures = _strong_signatures(lts) if kind == "strong" else _silent_signatures(lts, kind)
     iterations = 0
     while True:
         iterations += 1
-        new_block_of = _index_groups(list(zip(block_of, signatures(block_of))))
+        sizes = Counter(block_of)
+        if len(sizes) == len(block_of):
+            return Partition(kind, tuple(block_of), iterations)
+        live = [sizes[b] > 1 for b in block_of] if 1 in sizes.values() else None
+        new_block_of = _index_groups(zip(block_of, signatures(block_of, live)))
         if max(new_block_of, default=-1) == max(block_of, default=-1):
             return Partition(kind, tuple(new_block_of), iterations)
         block_of = new_block_of
@@ -178,12 +193,7 @@ def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
 
 def _index_groups(keys):
     ids = {}
-    out = []
-    for k in keys:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
-    return out
+    return [ids.setdefault(k, len(ids)) for k in keys]
 
 
 def _coded_moves(lts: Lts):
@@ -194,7 +204,14 @@ def _coded_moves(lts: Lts):
 
 def _strong_signatures(lts: Lts):
     moves = _coded_moves(lts)
-    return lambda block_of: [frozenset((a, block_of[t]) for a, t in row) for row in moves]
+
+    def signatures(block_of, live):
+        return [
+            frozenset((a, block_of[t]) for a, t in row) if live is None or live[s] else None
+            for s, row in enumerate(moves)
+        ]
+
+    return signatures
 
 
 # Quasi-strong and qs-branching bisimilarity match a silent step with exactly
@@ -220,23 +237,29 @@ def _silent_signatures(lts: Lts, kind: str):
     """Weak, branching, quasi-strong or qs-branching signatures, built once
     per silent SCC, sinks first, from the SCC's own visible moves and the
     SCCs its silent steps exit to (`exits`), whose signatures are already
-    built.
+    built. A round builds them only for the live states (see `_refine`) and
+    the SCCs those states read; the others sign as None.
 
     Under weak and branching, the members of a silent SCC share a block in
     every round: they start with one divergence flag, and as they reach the
     same states silently, a round gives them one signature. So the block of
-    an SCC is that of its first member.
+    an SCC is that of its first member, and so is its liveness.
 
     - weak: the blocks reached silently, and per visible action a the blocks
-      reached by =>a=>, as bitmasks over block ids.
+      reached by =>a=>, as bitmasks over block ids. `reach` is built for
+      every SCC; the per-action sets only for the SCCs a live SCC reaches
+      silently.
     - branching: the moves out of the SCC's silent closure within its own
       block, as (action code, block) codes. A silent exit into the own block
       is inert: that SCC's signature is part of this one. This is the set a
       search from each member along silent steps inside its block would find.
+      An inert exit of a live SCC shares its block, so it is live too: only
+      the live SCCs are built.
     - quasi-strong, qs-branching (see above): per state, its silent
       successors' blocks, and the => -a-> moves its SCC shares, as bitmasks
       over the codes a * width + [t], keyed by the mid's block for
-      qs-branching (by 0 otherwise), kept for the keys read at or above it.
+      qs-branching (by 0 otherwise), kept for the keys that live states read
+      at or above it.
     """
     sccs = lts.silent_sccs()
     moves = _coded_moves(lts)
@@ -244,15 +267,24 @@ def _silent_signatures(lts: Lts, kind: str):
     first = [scc[0] for scc in sccs.members]
     of, exits = sccs.of, sccs.exits
 
-    def weak(block_of):
+    def weak(block_of, live):
         reach = []
         for c, f in enumerate(first):
             r = 1 << block_of[f]
             for d in exits[c]:
                 r |= reach[d]
             reach.append(r)
+        if live is not None:
+            need = [live[f] for f in first]  # per SCC: whether a live SCC reaches it silently
+            for c in reversed(range(len(first))):
+                if need[c]:
+                    for d in exits[c]:
+                        need[d] = True
         after = []  # per SCC: visible action code -> bitmask of the =>a=> blocks
         for c in range(len(first)):
+            if live is not None and not need[c]:
+                after.append(None)
+                continue
             w = {}
             for d in exits[c]:
                 for a, m in after[d].items():
@@ -260,12 +292,18 @@ def _silent_signatures(lts: Lts, kind: str):
             for _u, a, t in visible[c]:
                 w[a] = w.get(a, 0) | reach[of[t]]
             after.append(w)
-        return [(r, tuple(sorted(w.items()))) for r, w in zip(reach, after)]
+        return [
+            (r, tuple(sorted(w.items()))) if live is None or live[f] else None
+            for r, w, f in zip(reach, after, first)
+        ]
 
-    def branching(block_of):
+    def branching(block_of, live):
         width = max(block_of, default=0) + 1
         out = []
         for c, f in enumerate(first):
+            if live is not None and not live[f]:
+                out.append(None)
+                continue
             own = block_of[f]
             sig = {a * width + block_of[t] for _u, a, t in visible[c]}
             for d in exits[c]:
@@ -277,27 +315,31 @@ def _silent_signatures(lts: Lts, kind: str):
             out.append(frozenset(sig))
         return out
 
-    def quasi_strong(block_of):
+    def quasi_strong(block_of, live):
         key = block_of if kind == "qs-branching" else [0] * len(of)
         width = max(block_of, default=0) + 1
-        need = [0] * len(first)  # per SCC: bitmask of the keys read at or above it
+        need = [0] * len(first)  # per SCC: bitmask of the keys live states read at or above it
         for c in reversed(range(len(first))):
             for u in sccs.members[c]:
-                need[c] |= 1 << key[u]
+                if live is None or live[u]:
+                    need[c] |= 1 << key[u]
             for d in exits[c]:
                 need[d] |= need[c]
         after = []  # per SCC: key -> bitmask of the => -a-> codes
         for c in range(len(first)):
             w = {}
-            for d in exits[c]:
-                for b, m in after[d].items():
-                    if need[c] >> b & 1:
-                        w[b] = w.get(b, 0) | m
-            for u, a, t in visible[c]:
-                w[key[u]] = w.get(key[u], 0) | 1 << (a * width + block_of[t])
+            if need[c]:
+                for d in exits[c]:
+                    for b, m in after[d].items():
+                        if need[c] >> b & 1:
+                            w[b] = w.get(b, 0) | m
+                for u, a, t in visible[c]:
+                    w[key[u]] = w.get(key[u], 0) | 1 << (a * width + block_of[t])
             after.append(w)
         return [
             (frozenset(block_of[t] for a, t in row if not a), after[of[s]].get(key[s], 0))
+            if live is None or live[s]
+            else None
             for s, row in enumerate(moves)
         ]
 
@@ -305,8 +347,8 @@ def _silent_signatures(lts: Lts, kind: str):
         return quasi_strong
     per_scc = weak if kind == "weak" else branching
 
-    def signatures(block_of):
-        ids = _index_groups(per_scc(block_of))
+    def signatures(block_of, live):
+        ids = _index_groups(per_scc(block_of, live))
         return [ids[c] for c in of]
 
     return signatures

@@ -8,16 +8,30 @@ the closures, branching signatures from a search per state, and stability in
 `pcalc.semantics` and `pcalc.equivalence` must give the same flags,
 partitions (block numbering and round counts included) and classifications,
 and the lazy silent closures and `saturate` the same closures and edges.
+
+A second, per-state reference gives the quasi-strong and qs-branching rounds,
+so that all five kinds are compared on graphs whose rounds leave every block
+split to singletons, drain their live states (those in blocks of at least two
+members) round by round, or never leave a singleton block.
 """
 
 import random
 import sys
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 
 from pcalc import equivalence, evidence
-from pcalc.equivalence import CCSM_KINDS, PARTITION_KINDS, _refine, classify_tau, compute_partition
+from pcalc.equivalence import (
+    CCSM_KINDS,
+    PAIR_KINDS,
+    PARTITION_KINDS,
+    _refine,
+    classify_tau,
+    compute_partition,
+    relation,
+)
 from pcalc.genterms import random_ccsm, random_graph_lts, random_stabilizing
 from pcalc.semantics import (
     DIV_NO,
@@ -232,6 +246,30 @@ def old_strong_history(lts: Lts):
     return history
 
 
+def old_pair_partition(lts: Lts, kind: str, base_block_of):
+    """(block_of, iterations) of quasi-strong or qs-branching, refined per
+    state from the base partition split by the divergence flag: a state's
+    signature is its silent successors' blocks and its => -a-> moves, for
+    qs-branching only those whose mid shares its block."""
+    n = lts.num_states()
+    cls = _OldClosures(lts)
+    block_of = _index_groups([(base_block_of[s], lts.diverges[s]) for s in range(n)])
+    iterations = 0
+    while True:
+        iterations += 1
+        sigs = []
+        for s in range(n):
+            sig = {(a.sort_key(), block_of[t]) for a, t in lts.succ(s) if a.is_tau}
+            for mid in cls.tau_reach[s]:
+                if kind == "quasi-strong" or block_of[mid] == block_of[s]:
+                    sig.update((a.sort_key(), block_of[t]) for a, t in lts.succ(mid) if not a.is_tau)
+            sigs.append(frozenset(sig))
+        new_block_of = _index_groups([(block_of[s], sigs[s]) for s in range(n)])
+        if max(new_block_of, default=-1) == max(block_of, default=-1):
+            return tuple(new_block_of), iterations
+        block_of = new_block_of
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 
@@ -254,10 +292,16 @@ def _assert_matches_reference(lts):
         part = compute_partition(lts, kind)
         assert (part.block_of, part.iterations) == old_compute_partition(lts, kind), kind
         parts[kind] = part
+    for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):
+        part = relation(lts, kind, parts)
+        assert (part.block_of, part.iterations) == old_pair_partition(lts, kind, parts[base].block_of), kind
     tc = classify_tau(lts, parts["weak"])
     assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["weak"].block_of)
     tc = classify_tau(lts, parts["strong"])  # a partition that may split a silent SCC
     assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["strong"].block_of)
+    history = [[0] * lts.num_states()]
+    _refine(lts, "strong", history[0], history)
+    assert history == old_strong_history(lts)
 
 
 def test_refinement_matches_reference_on_random_graphs():
@@ -273,9 +317,6 @@ def test_refinement_matches_reference_on_random_graphs():
             moves, complete = cls.weak_moves(s, lambda a: not a.is_tau)
             assert complete and len(set(moves)) == len(moves)
             assert set(moves) == {(a, t) for a, ts in weak[s].items() if not a.is_tau for t in ts}
-        history = [[0] * lts.num_states()]
-        _refine(lts, "strong", history[0], history)
-        assert history == old_strong_history(lts)
 
 
 def test_saturate_matches_reference_on_random_graphs():
@@ -355,3 +396,68 @@ def test_distinguishing_evidence_builds_closures_only_when_read(monkeypatch):
         evidence.distinguishing_evidence(lts, lts.initials[0], lts.initials[-1], kind)
         assert len(built) == 1, kind  # built by the trace only, not by refinement
         assert (len(built[0]) == 0) == (kind == "strong"), kind  # no strong answer reads a closure
+
+
+# ---------------------------------------------------------------------------
+# Rounds sign only the states whose block can still split
+
+# The pair-relations benchmark's terms (bench/workloads.py).
+P = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | !a | !'a | !d"
+P_SMALL = "a.a.'d | a.'d | a.a.a.'d | !a | !'a | !d"
+P_SMALL_DROP = "a.'d | a.a.'d | a.a.a.'d | 'd | !a | !'a | !d"
+# The finite-large benchmark's W2 variant (bench/workloads.py).
+W2_VARIANT = "a.b.'c.d.e | 'a.'b.c.'d.'e | b.a.'d.c | 'b.'a.d.'c | 'e.e | !f | !'f"
+
+
+def _live_per_round(lts, kind):
+    """Per round of kind's refinement, the states in blocks of at least two
+    members when the round starts."""
+    if kind in PAIR_KINDS:
+        base = relation(lts, "weak" if kind == "quasi-strong" else "branching").block_of
+        seed = equivalence._index_groups(zip(base, lts.diverges))
+    else:
+        seed = equivalence._index_groups([(d,) for d in lts.diverges])
+    rounds = [seed]
+    _refine(lts, kind, seed, rounds)
+    out = []
+    for block_of in rounds:
+        sizes = Counter(block_of)
+        out.append(sum(sizes[b] > 1 for b in block_of))
+    return out
+
+
+@pytest.mark.parametrize(
+    "terms, states",
+    [
+        (["a.'b | 'a.b | c.'c | 'd"], 54),  # every kind refines to singletons
+        ([P_SMALL, P_SMALL_DROP], 42),  # the live states drain round by round
+        ([P + " | !a", P], 196),  # no round has a singleton block
+    ],
+)
+def test_live_state_rounds_match_reference(terms, states):
+    lts = union_lts([parse(t) for t in terms])
+    assert lts.num_states() == states and not lts.truncated
+    _assert_matches_reference(lts)
+    live = {kind: _live_per_round(lts, kind) for kind in CCSM_KINDS}
+    if states == 54:
+        assert all(counts[-1] == 0 for counts in live.values())
+    elif states == 42:
+        assert live["quasi-strong"] == [41, 40, 36, 26, 0]
+    else:
+        assert all(set(counts) == {states} for counts in live.values())
+
+
+def test_weak_partition_signs_only_live_states():
+    # The W2 variant refines to 2,550 singletons in 4 rounds, and only 24,
+    # then 0, of its states are live in the last two. Signing every state in
+    # every round peaks at about 8.8 MiB here; signing the live ones, 4.7 MiB.
+    lts = build_lts(parse(W2_VARIANT), Bounds(20000, 64))
+    assert lts.num_states() == 2550 and not lts.truncated
+    tracemalloc.start()
+    try:
+        part = compute_partition(lts, "weak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(part.block_of) + 1 == 2550 and part.iterations == 4
+    assert peak < 6 * 2**20
