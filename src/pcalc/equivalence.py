@@ -2,9 +2,9 @@
 on-the-fly games for graphs that cannot be fully explored. Each kind's
 transfer clause is written once (`_respond`), over the lazy silent closures of
 `semantics`, and answers challenges over graph states (trace extraction) and
-over terms (the bounded game and trace replay) alike. One attacker search
-over terms serves the first-order game and the higher-order context game
-(`hocore`).
+over the sorted part-id tuples that exploration uses (the first-order bounded
+game and trace replay) alike. One attacker search serves the first-order game
+and the higher-order context game (`hocore`), which plays over terms.
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -20,6 +20,7 @@ of the SCCs its silent steps lead to, so refinement reads no weak closures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semantics
-from .semantics import TAU, Action, Bounds, Lts, SilentClosures, closures, step, union_lts
+from .semantics import TAU, Action, Bounds, Lts, SilentClosures, _move_order, _Parts, _parts_of, closures, union_lts
 from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
@@ -749,7 +750,9 @@ def _only_in(left: Partition, right: Partition) -> list:
 
 
 class _Game:
-    """Depth-bounded attacker search directly over terms, for any calculus.
+    """Depth-bounded attacker search over any hashable states, for any
+    calculus: part-id tuples in the first-order game, terms in the
+    higher-order context game.
 
     A subclass supplies the moves: `step(p)`, p's (action, derivative) moves
     in (action, derivative) order; `respond(defn, action)`, the defender's
@@ -794,6 +797,8 @@ class _Game:
 
         The result depends on (l, r, budget) only: `safe` records only true
         facts, and no refutation within a budget means none within less.
+        Continuations with equal sides or a `safe` budget are settled in
+        place, and counted as the recursive call would count them.
         """
         if l == r or budget <= 0:
             return None
@@ -801,17 +806,25 @@ class _Game:
             self.memo_hits += 1
             return None
         self.positions += 1
+        safe = self.safe
         for side, action, deriv in self.challenges(l, r):
             chal, defn = (l, r) if side == "left" else (r, l)
             responses = self.responses(defn, action)
             if not responses:
                 return [(side, action, None, None)]
+            if budget == 1:  # no continuation is refutable within budget 0
+                continue
             # every answer must offer a refutable continuation
             per_answer = []
             for response in responses:
                 for cont, label in self.answer(response, chal, action, deriv):
                     if side == "right":
                         cont = cont[::-1]
+                    if cont[0] == cont[1]:
+                        continue
+                    if safe.get(cont, -1) >= budget - 1:
+                        self.memo_hits += 1
+                        continue
                     tail = self.attack(cont[0], cont[1], budget - 1)
                     if tail is not None:
                         per_answer.append((cont, label, tail))
@@ -844,16 +857,34 @@ class _Game:
 
 
 class _OnTheFly(_Game):
-    """The first-order game over terms: `step`, and the transfer clauses
-    `_respond` and `_answer` read through the one lazy silent-closure helper,
-    `semantics.SilentClosures`, which trace extraction uses over graph states."""
+    """The first-order game between two roots, over the states `union_lts`
+    explores: one closed `semantics._Parts` numbers every part the roots
+    reach, and a position is a pair of sorted part-id tuples. Moves are
+    `_Parts.moves` in term order, memoised per game, and the transfer
+    clauses `_respond` and `_answer` read through the one lazy silent-closure
+    helper, `semantics.SilentClosures`, which trace extraction uses over
+    graph states. `parts.term` turns a state back into its term."""
 
-    step = staticmethod(step)
     answer = staticmethod(_answer)
 
-    def __init__(self, kind, tau_bound):
+    def __init__(self, kind, tau_bound, roots):
+        self.parts = parts = _Parts([q for r in roots for q in _parts_of(canonicalize(r))], closed=True)
+        # a closure over parts, not a method, so that the silent closures
+        # holding it keep no reference to the game: a finished game's `safe`,
+        # response and challenge tables are freed at once, not by the cyclic
+        # collector
+        self.step = functools.lru_cache(maxsize=None)(
+            lambda state: tuple((parts.actions[a], t) for a, t in sorted(parts.moves(state), key=_move_order))
+        )
         super().__init__(tau_bound, 4096)
         self.kind = kind
+
+    def state(self, p: Term):
+        """The state of term p, or None when p holds a part the roots never reach."""
+        try:
+            return self.parts.key(canonicalize(p))
+        except KeyError:
+            return None
 
     def respond(self, defn, action):
         return _respond(self.kind, self.closures, defn, action)
@@ -868,7 +899,7 @@ def _game_tau_bound(depth: int, tau_bound) -> int:
 
 
 def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None) -> Verdict:
-    """Semi-decide a pair by a depth-bounded game directly over terms.
+    """Semi-decide a pair by a depth-bounded game over part-id states.
 
     A returned refutation is a concrete attacker strategy and is sound as long
     as tau_bound covers the defender's silent moves; otherwise the verdict is
@@ -878,12 +909,14 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
         raise ValueError(f"unknown kind {kind!r}")
     tau_bound = _game_tau_bound(depth, tau_bound)
     p, q = canonicalize(p), canonicalize(q)
-    found, stats = _OnTheFly(kind, tau_bound).play(p, q, depth)
+    game = _OnTheFly(kind, tau_bound, (p, q))
+    found, stats = game.play(game.state(p), game.state(q), depth)
     if found is None:
         bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
         return Verdict("unknown", kind, bound_report=bound, stats=stats)
     *moves, (final_side, final_action, _, _) = found
-    steps = tuple(TraceStep(side, action, cont, rolled_back=rolled) for side, action, cont, rolled in moves)
+    term = game.parts.term
+    steps = tuple(TraceStep(side, action, (term(l), term(r)), rolled) for side, action, (l, r), rolled in moves)
     trace = AttackerTrace(kind, (p, q), steps, "no-match", final_side, final_action)
     return Verdict("inequivalent", kind, trace=trace, stats=stats)
 

@@ -370,8 +370,9 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
 # ---------------------------------------------------------------------------
 # Trace replay
 #
-# Traces carry canonical terms, so they replay directly through the transition
-# engine without the graph they were extracted from.
+# Traces carry canonical terms, so they replay without the graph they were
+# extracted from: through the bounded game between the trace's start terms,
+# with every term mapped to that game's part-id state.
 
 
 def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
@@ -380,27 +381,30 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
     bounded game's continuations for it (closures cut after tau_bound silent
     steps), and the final challenge is unanswerable or the final pair differs
     in divergence. Raises ReplayError otherwise."""
-    game = equivalence._OnTheFly(trace.kind, tau_bound)
-    cur = tuple(canonicalize(t) for t in trace.start)
+    game = equivalence._OnTheFly(trace.kind, tau_bound, trace.start)
+    cur = tuple(game.state(t) for t in trace.start)
     for st in trace.steps:
-        after = tuple(canonicalize(t) for t in st.after)
+        # a term holding a part the start never reaches has state None, which
+        # is no step's target and no legal continuation
+        after = tuple(game.state(t) for t in st.after)
         (chal, defn), (moved, answer) = (cur, after) if st.side == "left" else (cur[::-1], after[::-1])
         # a rolled-back continuation keeps the challenger in place
-        if not st.rolled_back and moved not in [t for a, t in step(chal) if a == st.action]:
-            raise ReplayError(f"challenger has no {st.action.label()} step to {render(moved)}")
+        if not st.rolled_back and moved not in [t for a, t in game.step(chal) if a == st.action]:
+            moved_term = st.after[0] if st.side == "left" else st.after[1]
+            raise ReplayError(f"challenger has no {st.action.label()} step to {render(canonicalize(moved_term))}")
         legal = {c for r in game.responses(defn, st.action) for c in game.answer(r, chal, st.action, moved)}
         if ((moved, answer), st.rolled_back) not in legal:
             raise ReplayError("defender answer is not a legal continuation")
         cur = after
     if trace.reason == "no-match":
         chal, defn = cur if trace.final_side == "left" else cur[::-1]
-        if not any(a == trace.final_action for a, _t in step(chal)):
+        if not any(a == trace.final_action for a, _t in game.step(chal)):
             raise ReplayError("final challenge is not a real transition")
         if game.responses(defn, trace.final_action):
             raise ReplayError("defender still has an answer to the final challenge")
     else:
         probe = Bounds(512, 32)
-        flags = {build_lts(side, probe).diverges[0] for side in cur}
+        flags = {build_lts(game.parts.term(side), probe).diverges[0] for side in cur}
         if flags != {semantics.DIV_YES, semantics.DIV_NO}:
             raise ReplayError("terminal pair does not mismatch on divergence")
     return True

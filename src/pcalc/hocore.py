@@ -436,24 +436,3 @@ def context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies = No
     final = (final_side, final_action)
     return HoVerdict("inequivalent", mode, depth, trace=steps, families=fam, start=(p, q), final=final, stats=stats)
 
-
-def conjecture_probe(pairs, depth: int = 4) -> list:
-    """Search for strong-game-indistinguishable yet not structurally congruent
-    pairs. Reports findings only; neither direction of the conjecture that
-    strong context bisimilarity coincides with structural congruence is
-    asserted."""
-    from .syntax import sc_equal
-
-    findings = []
-    for p, q in pairs:
-        congruent = sc_equal(p, q)
-        verdict = context_game(p, q, "strong", depth)
-        findings.append(
-            {
-                "pair": [render(p, compact=True), render(q, compact=True)],
-                "sc_equal": congruent,
-                "strong_game": verdict.outcome,
-                "candidate_counterexample": (not congruent) and verdict.outcome == "no-distinction",
-            }
-        )
-    return findings

@@ -1,6 +1,7 @@
 """First-order operational semantics: single steps, bounded state graphs,
 their silent-step SCCs, divergence analysis, and one lazy silent-closure
-helper, for terms and graph states alike, with weak and delay saturation.
+helper, for terms, part-id states and graph states alike, with weak and
+delay saturation.
 
 State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
@@ -12,6 +13,7 @@ a reachable state holds is reached by stepping the roots' parts. Exploration
 numbers those parts once, in term order, and explores states as sorted tuples
 of part ids: a move replaces one id, or two for a communication, by the ids of
 the derivatives, and each state's term is built once, when it is discovered.
+The first-order bounded game of `equivalence` plays over the same tuples.
 """
 
 from __future__ import annotations
@@ -316,13 +318,6 @@ class Lts:
     def tau_succ(self, s: int):
         return [t for a, t in self._succ[s] if a.is_tau]
 
-    def index_of(self, p: Term):
-        p = canonicalize(p)
-        for i, s in enumerate(self.states):
-            if s == p:
-                return i
-        raise KeyError(f"state not in graph: {render(p)}")
-
     def num_states(self) -> int:
         return len(self.states)
 
@@ -534,8 +529,9 @@ def diverges(lts: Lts, s: int) -> str:
 # ---------------------------------------------------------------------------
 # Silent closures
 #
-# One lazy helper serves terms and graph states alike: `step` is the term
-# semantics (or a higher-order one) or a graph's `succ`.
+# One lazy helper serves terms, part-id states and graph states alike: `step`
+# is the term semantics (or a higher-order one), a first-order game's moves
+# over part-id states, or a graph's `succ`.
 
 
 class SilentClosures(dict):
@@ -602,10 +598,11 @@ class _Closure:
                 i += 1
 
     def states(self):
-        """All the states, terms in term order and graph states by index, and
-        whether no silent step was cut off."""
+        """All the states in term order (graph states by index, part-id
+        tuples by `_state_order`), and whether no silent step was cut off."""
         if self._states is None:
-            key = None if isinstance(self.order[0], int) else term_key
+            root = self.order[0]
+            key = None if isinstance(root, int) else _state_order if isinstance(root, tuple) else term_key
             self._states = (tuple(sorted(self, key=key)), not self.cut)
         return self._states
 

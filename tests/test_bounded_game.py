@@ -306,14 +306,31 @@ def test_memoised_game_matches_reference_on_growth_pair():
 
 
 def test_deepening_reuses_what_earlier_budgets_proved():
-    p, q = canonicalize(parse("!c.d | !'c | d")), canonicalize(parse("!c.d | !'c | !c"))
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
     for kind in ("weak", "branching"):
         fresh = 0  # positions expanded when each budget starts with an empty memo
         for budget in range(1, 5):
-            game = equivalence._OnTheFly(kind, 4)
-            game.attack(p, q, budget)
+            game = equivalence._OnTheFly(kind, 4, (p, q))
+            game.attack(game.state(p), game.state(q), budget)
             fresh += game.positions
         assert bounded_game(p, q, kind, 4).stats["game_positions"] < fresh
+
+
+def test_growth_pair_game_work_is_pinned():
+    # positions expanded, memo hits, memoised responses and cut closures of
+    # the depth-7 games on the growth pair, as the search over terms counted
+    # them: playing over part-id states changes what a position is, not how
+    # many the search visits
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
+    pinned = {
+        "weak": (4190, 15154, 726, 726),
+        "branching": (2106, 16058, 395, 395),
+        "quasi-strong": (1660, 6904, 395, 296),
+    }
+    for kind, counts in pinned.items():
+        verdict = bounded_game(p, q, kind, 7)
+        assert verdict.outcome == "unknown"
+        assert tuple(verdict.stats[k] for k in GAME_STATS) == counts, kind
 
 
 def test_closures_cut_counts_bounded_defender_closures():

@@ -54,7 +54,7 @@ def test_weak_partition_separates_revealed_action():
     # observable, so the unfolded state sits in a different weak block
     lts = build_lts(parse("c | !a | !'a"), Bounds(50, 50))
     part = compute_partition(lts, "weak")
-    folded = lts.index_of(parse("!a | !'a"))
+    folded = lts.states.index(canonicalize(parse("!a | !'a")))
     assert not part.relates(lts.initial, folded)
 
 
@@ -130,8 +130,8 @@ def test_state_preserving_step_can_precede_state_changing_one():
     lts = build_lts(parse("a | 'b | 'c | !b | !'a | !'b"), Bounds(200, 64))
     assert not lts.truncated
     s0 = lts.initial
-    s2 = lts.index_of(parse("a | 'c | !b | !'a | !'b"))
-    s6 = lts.index_of(parse("'c | !b | !'a | !'b"))
+    s2 = lts.states.index(canonicalize(parse("a | 'c | !b | !'a | !'b")))
+    s6 = lts.states.index(canonicalize(parse("'c | !b | !'a | !'b")))
     tc = classify_tau(lts)
     assert tc.edge_labels[(s0, s2)] == "state-preserving"
     assert tc.edge_labels[(s2, s6)] == "state-changing"

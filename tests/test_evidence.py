@@ -20,7 +20,7 @@ from pcalc.evidence import (
     satisfies,
 )
 from pcalc.semantics import Action, Bounds, build_lts, step, union_lts
-from pcalc.syntax import canonicalize, parse
+from pcalc.syntax import Par, canonicalize, parse
 
 
 def tau_derivatives(text):
@@ -228,6 +228,24 @@ def test_replay_rejects_a_challenger_step_that_is_not_a_transition():
     moved = replace(first, after=(canonicalize(parse("c | 'd")), first.after[1]))
     with pytest.raises(ReplayError, match="challenger has no a step"):
         replay_trace(replace(trace, steps=(moved,)))
+
+
+def test_replay_rejects_a_part_the_start_never_reaches():
+    # replay maps each term to a state over the parts its start reaches; a
+    # term holding any other part fails replay, on either side of a step
+    # that is rolled back or not
+    def with_zz(term):
+        return canonicalize(Par((term, parse("zz"))))
+
+    strong = _strong_trace()
+    rolled = bounded_game(parse("a | 'a | b"), parse("'a | a | b.'b"), "branching", 3).trace
+    for trace in (strong, rolled):
+        (first,) = trace.steps
+        assert first.rolled_back == (trace is rolled) and first.side == "left"
+        for i in (0, 1):  # challenger, defender
+            after = tuple(with_zz(t) if j == i else t for j, t in enumerate(first.after))
+            with pytest.raises(ReplayError):
+                replay_trace(replace(trace, steps=(replace(first, after=after),)))
 
 
 def test_replay_rejects_a_final_challenge_the_defender_answers():

@@ -6,7 +6,6 @@ from pcalc.hocore import (
     HoAction,
     OpenTermError,
     TestFamilies,
-    conjecture_probe,
     context_game,
     derived_replication,
     ho_step,
@@ -254,11 +253,3 @@ def test_game_rejects_open_terms():
     with pytest.raises(OpenTermError):
         context_game(Var("X"), NIL, "strong", 2)
 
-
-def test_conjecture_probe_reports_without_asserting():
-    p = canonicalize(hparse("a(X).X"))
-    q = canonicalize(hparse("a(Y).Y | 0"))
-    findings = conjecture_probe([(p, p), (p, q)], depth=3)
-    assert findings[0]["sc_equal"] and findings[0]["strong_game"] == "no-distinction"
-    assert not findings[0]["candidate_counterexample"]
-    assert {"pair", "sc_equal", "strong_game", "candidate_counterexample"} <= set(findings[1])
