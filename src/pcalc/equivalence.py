@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semantics
-from .semantics import TAU, Action, Bounds, Lts, SilentClosures, _move_order, _Parts, _parts_of, closures, union_lts
+from .semantics import Action, Bounds, Lts, SilentClosures, _move_order, _Parts, _parts_of, closures, union_lts
 from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
@@ -157,12 +157,16 @@ def compute_partition(lts: Lts, kind: str) -> Partition:
     splits blocks by transition signatures until nothing changes. A round
     signs only the states in blocks of at least two members, plus the silent
     SCCs those states read; `iterations` still counts the confirming round.
+    Memoised on the graph: every call for one kind returns the same partition.
     """
     if kind not in PARTITION_KINDS:
         raise ValueError(f"not a partition kind: {kind!r}")
     if lts.truncated:
         raise TruncatedInput("partitions need a complete graph")
-    return _refine(lts, kind, _index_groups([(d,) for d in lts.diverges]))
+    part = lts.partitions.get(kind)
+    if part is None:
+        part = lts.partitions[kind] = _refine(lts, kind, _index_groups([(d,) for d in lts.diverges]))
+    return part
 
 
 def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
@@ -197,14 +201,8 @@ def _index_groups(keys):
     return [ids.setdefault(k, len(ids)) for k in keys]
 
 
-def _coded_moves(lts: Lts):
-    """Each state's moves as (action code, target); tau is code 0."""
-    codes = {TAU: 0}
-    return [[(codes.setdefault(a, len(codes)), t) for a, t in lts.succ(s)] for s in range(lts.num_states())]
-
-
 def _strong_signatures(lts: Lts):
-    moves = _coded_moves(lts)
+    moves = lts.moves
 
     def signatures(block_of, live):
         return [
@@ -263,7 +261,7 @@ def _silent_signatures(lts: Lts, kind: str):
       at or above it.
     """
     sccs = lts.silent_sccs()
-    moves = _coded_moves(lts)
+    moves = lts.moves
     visible = [[(u, a, t) for u in scc for a, t in moves[u] if a] for scc in sccs.members]
     first = [scc[0] for scc in sccs.members]
     of, exits = sccs.of, sccs.exits
@@ -632,10 +630,10 @@ def classify_tau(lts: Lts, weak: Partition = None) -> TauClassification:
     if weak is None:
         weak = compute_partition(lts, "weak")
     labels = {}
-    for s, a, t in lts.edges:
-        if a.is_tau:
-            lab = "state-preserving" if weak.relates(s, t) else "state-changing"
-            labels[(s, t)] = lab
+    for s, row in enumerate(lts.moves):
+        for a, t in row:
+            if not a:
+                labels[(s, t)] = "state-preserving" if weak.relates(s, t) else "state-changing"
     # a state is stable when all it reaches silently shares its weak block;
     # an SCC is, when its members and its stable exits share one block
     block_of = weak.block_of
@@ -651,9 +649,8 @@ def classify_tau(lts: Lts, weak: Partition = None) -> TauClassification:
     stable = [stable_scc[c] for c in sccs.of]
     # multi-source BFS over reversed tau edges from the stable states
     rev = [[] for _ in range(n)]
-    for s, a, t in lts.edges:
-        if a.is_tau:
-            rev[t].append(s)
+    for s, t in labels:
+        rev[t].append(s)
     k = [None] * n
     frontier = [s for s in range(n) if stable[s]]
     for s in frontier:

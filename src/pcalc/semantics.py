@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax
 from .syntax import (
@@ -281,42 +281,61 @@ def components(p: Term) -> Counter:
 # Bounded graphs
 
 
-@dataclass
 class Lts:
     """A finite, possibly truncated transition graph over canonical terms.
 
     States are pairwise distinct canonical terms; frontier states are those
     whose outgoing transitions were not expanded (nonempty only when
     truncated). diverges holds one of 'yes'/'no'/'unknown' per state.
+
+    The moves are stored once, int-coded: `actions` numbers the actions in
+    sort-key order, so tau is 0, and moves[s] holds s's (action id, target)
+    pairs. `edges` and `succ` are views of that table. The constructor takes
+    (src, Action, dst) edges, or, when `actions` is given, the table itself.
+    `partitions` memoises each partition kind's refinement
+    (`equivalence.compute_partition`).
     """
 
-    states: list
-    edges: list  # (src, Action, dst), sorted by (src, action, dst key)
-    initials: tuple
-    truncated: bool
-    frontier: frozenset
-    depth: list
-    diverges: list = field(default_factory=list)
+    def __init__(self, states, edges, initials, truncated, frontier, depth, diverges=None, actions=None):
+        if actions is None:
+            actions = sorted({a for _s, a, _t in edges} | {TAU}, key=Action.sort_key)
+            aid = {a: i for i, a in enumerate(actions)}
+            rows = [[] for _ in states]
+            for s, a, t in edges:
+                rows[s].append((aid[a], t))
+            edges = [tuple(row) for row in rows]
+        self.states, self.initials, self.depth = states, initials, depth
+        self.truncated, self.frontier = truncated, frontier
+        self.diverges = [] if diverges is None else diverges
+        self.actions, self.moves = tuple(actions), edges
+        self._succ = [None] * len(states)
+        self.partitions = {}
+        self._sccs = _silent_sccs(self)
 
     @property
     def initial(self) -> int:
         return self.initials[0]
 
-    def __post_init__(self):
-        self._succ = [[] for _ in self.states]
-        for s, a, t in self.edges:
-            self._succ[s].append((a, t))
-        self._sccs = _silent_sccs(self)
+    @property
+    def edges(self) -> list:
+        """(src, Action, dst), by source, then in move order: built on each read."""
+        acts = self.actions
+        return [(s, acts[a], t) for s, row in enumerate(self.moves) for a, t in row]
 
     def succ(self, s: int):
-        return self._succ[s]
+        """s's moves as (Action, target), built on first read and kept."""
+        row = self._succ[s]
+        if row is None:
+            acts = self.actions
+            row = self._succ[s] = [(acts[a], t) for a, t in self.moves[s]]
+        return row
 
     def silent_sccs(self) -> "SilentSccs":
         """The SCCs of the silent steps."""
         return self._sccs
 
     def tau_succ(self, s: int):
-        return [t for a, t in self._succ[s] if a.is_tau]
+        return [t for a, t in self.moves[s] if not a]
 
     def num_states(self) -> int:
         return len(self.states)
@@ -372,7 +391,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
             keys.append(key)
             depth.append(0)
         initials.append(index[key])
-    edges = []
+    table = []  # per state: sorted (action id, target) pairs; () on the frontier
     frontier = set()
     truncated = False
     pos = 0
@@ -380,6 +399,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
         if depth[pos] >= bounds.max_depth:
             frontier.add(pos)
             truncated = True
+            table.append(())
             pos += 1
             continue
         moves = parts.moves(keys[pos])
@@ -387,6 +407,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
         if len(states) + len(new_targets) > bounds.max_states:
             frontier.add(pos)
             truncated = True
+            table.append(())
             pos += 1
             continue
         for t in sorted(new_targets, key=_state_order):
@@ -394,9 +415,9 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
             states.append(parts.term(t))
             keys.append(t)
             depth.append(depth[pos] + 1)
-        edges.extend((pos, parts.actions[a], dst) for a, dst in sorted((a, index[t]) for a, t in moves))
+        table.append(tuple(sorted((a, index[t]) for a, t in moves)))
         pos += 1
-    lts = Lts(states, edges, tuple(initials), truncated, frozenset(frontier), depth)
+    lts = Lts(states, table, tuple(initials), truncated, frozenset(frontier), depth, actions=parts.actions)
     lts.diverges = _divergence_flags(lts)
     return lts
 
@@ -545,7 +566,7 @@ class SilentClosures(dict):
         self.step, self.bound, self.cap = step, bound, cap
 
     def __missing__(self, root):
-        self[root] = closure = _Closure(root, self)
+        self[root] = closure = _Closure(root, self.step, self.bound, self.cap)
         return closure
 
     def weak_moves(self, root, matches):
@@ -566,8 +587,11 @@ class _Closure:
     """Iterating yields the states in breadth-first order, exploring only as
     far as it is read; `states()` reads the whole closure."""
 
-    def __init__(self, root, owner: SilentClosures):
-        self.owner = owner
+    # one per state a game or trace search reads: no per-instance dict
+    __slots__ = ("step", "bound", "cap", "depth", "order", "pos", "cut", "_states")
+
+    def __init__(self, root, step, bound, cap):
+        self.step, self.bound, self.cap = step, bound, cap
         self.depth = {root: 0}
         self.order = [root]  # breadth-first; the states before pos are expanded
         self.pos = 0
@@ -580,10 +604,10 @@ class _Closure:
             return False
         u = self.order[self.pos]
         self.pos += 1
-        inside = self.owner.bound is None or self.depth[u] < self.owner.bound
-        for a, t in self.owner.step(u):
+        inside = self.bound is None or self.depth[u] < self.bound
+        for a, t in self.step(u):
             if a.is_tau and t not in self.depth:
-                if inside and len(self.order) < self.owner.cap:
+                if inside and len(self.order) < self.cap:
                     self.depth[t] = self.depth[u] + 1
                     self.order.append(t)
                 else:

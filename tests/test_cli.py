@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,18 @@ def test_lts_command(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["truncated"] is False
     assert (tmp_path / "out.dot").read_text().startswith("digraph")
+
+
+def test_lts_output_is_pinned_on_w1(tmp_path, capsys):
+    # ROADMAP W1: 1,083 states, 8,098 edges. The digests pin the JSON and dot
+    # output byte for byte, so a change to how the graph stores its edges
+    # cannot reorder or relabel them.
+    path = write(tmp_path, "w1.proc", "a.b.'c.d | 'a.'b.c.'d | b.a.'d | 'b.'a.d | c.'c | !e | !'e\n")
+    dot = tmp_path / "w1.dot"
+    assert run(["lts", path, "--json", "--dot", str(dot)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "b080294a752517fd3d0344460b86f786aa16ec7cc05f1693ca1124b4ce1daf5b"
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == "075c4092d35d76626a4458ab5d8ba14595ce06cd81c80dcfae540f783024ef07"
 
 
 def test_diverges_exit_codes(tmp_path):

@@ -7,10 +7,12 @@ same graphs (states, numbering, edges, truncation, depths) and the same
 single steps.
 """
 
+import gc
 import random
+import tracemalloc
 
 from pcalc import semantics, syntax
-from pcalc.genterms import finite_state_corpus, random_ccsm, random_stabilizing
+from pcalc.genterms import finite_state_corpus, random_ccsm, random_graph_lts, random_stabilizing
 from pcalc.hocore import TestFamilies, ho_step
 from pcalc.semantics import TAU, Action, Bounds, Lts, _divergence_flags, cache_info, clear_caches
 from pcalc.syntax import InputPrefix, Nil, OutputPrefix, Par, Repl, Term, canonical_par, canonicalize, parse, term_key
@@ -269,3 +271,84 @@ def test_clear_caches_empties_the_live_tables_in_place():
     assert after.to_json() == before.to_json() and after.depth == before.depth
     assert cache_info()["step"] == len(semantics._step_cache) > 0
     assert cache_info()["shift"] == len(syntax._shift_memo) > 0
+
+
+# ---------------------------------------------------------------------------
+# The int-coded move table
+
+# The benchmark's terms (bench/workloads.py): W1 and its tau variant, the W2
+# variant, the W4-family graph, the pair-relations pairs and the growth pair.
+W1 = "a.b.'c.d | 'a.'b.c.'d | b.a.'d | 'b.'a.d | c.'c | !e | !'e"
+W1_TAU = "a.b.'c.d | a.'d | c.'c | 'a.d | 'a.'b.c.'d | !e | !'e"
+W2_VARIANT = "a.b.'c.d.e | 'a.'b.c.'d.'e | b.a.'d.c | 'b.'a.d.'c | 'e.e | !f | !'f"
+W4F = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | a.a.'d.'d | !a | !'a | !d"
+P = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | !a | !'a | !d"
+BENCH_GRAPHS = (
+    ([W1, W1_TAU], Bounds()),
+    ([W2_VARIANT], Bounds(20000, 64)),
+    ([W4F], Bounds()),
+    ([P + " | !a", P], Bounds()),
+    (["a.a.'d | a.'d | a.a.a.'d | !a | !'a | !d", "a.'d | a.a.'d | a.a.a.'d | 'd | !a | !'a | !d"], Bounds()),
+    (["!c.d | !'c | d", "!c.d | !'c | !c"], Bounds()),
+)
+
+
+def from_edges(lts):
+    """The same graph, built from its edge list."""
+    copy = Lts(lts.states, lts.edges, lts.initials, lts.truncated, lts.frontier, lts.depth)
+    copy.diverges = _divergence_flags(copy)
+    return copy
+
+
+def assert_same_views(coded, listed):
+    assert coded.edges == listed.edges
+    by_src = [[] for _ in coded.states]
+    for s, a, t in listed.edges:
+        by_src[s].append((a, t))
+    for s, row in enumerate(by_src):
+        assert coded.succ(s) == row == listed.succ(s)
+        assert coded.tau_succ(s) == [t for a, t in row if a.is_tau] == listed.tau_succ(s)
+    assert coded.silent_sccs() == listed.silent_sccs()
+    assert coded.to_json() == listed.to_json()
+    assert coded.to_dot() == listed.to_dot()
+
+
+def test_explored_and_edge_list_graphs_agree():
+    truncated = 0
+    for texts, bounds in BENCH_GRAPHS:
+        lts = semantics.union_lts([parse(t) for t in texts], bounds)
+        truncated += lts.truncated
+        assert_same_views(lts, from_edges(lts))
+    assert truncated == 1  # the growth pair
+    rng = random.Random(SEED)
+    for _ in range(40):
+        lts = semantics.build_lts(random_ccsm(rng, rng.randint(1, 8)), Bounds(rng.randint(1, 120), 64))
+        assert_same_views(lts, from_edges(lts))
+    for _ in range(40):
+        listed = random_graph_lts(rng, max_states=rng.choice((8, 30)))
+        coded = Lts(listed.states, listed.moves, listed.initials, False, frozenset(), listed.depth, actions=listed.actions)
+        coded.diverges = _divergence_flags(coded)
+        assert_same_views(coded, listed)
+
+
+def test_graph_footprint_on_the_w2_variant():
+    # The graph stores its moves once, as int pairs, which the collector
+    # stops tracking. Keeping (src, Action, dst) edges and (Action, dst)
+    # successor lists instead tracks 16.2 objects per state and retains
+    # 3.26 MiB on this graph; the table, 0.004 and 1.79 MiB.
+    term = parse(W2_VARIANT)
+    semantics.build_lts(term, Bounds(20000, 64))  # warms the step cache and the interned terms
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        lts = semantics.build_lts(term, Bounds(20000, 64))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    per_state = (len(gc.get_objects()) - tracked) / lts.num_states()
+    assert lts.num_states() == 2550 and not lts.truncated
+    assert per_state < 4
+    assert retained < 2.5 * 2**20

@@ -461,3 +461,17 @@ def test_weak_partition_signs_only_live_states():
         tracemalloc.stop()
     assert max(part.block_of) + 1 == 2550 and part.iterations == 4
     assert peak < 6 * 2**20
+
+
+def test_classify_tau_and_the_caller_share_one_weak_refinement(monkeypatch):
+    refined = []
+    real = equivalence._refine
+    monkeypatch.setattr(equivalence, "_refine", lambda lts, kind, *rest: refined.append(kind) or real(lts, kind, *rest))
+    lts = build_lts(parse(W4_FAMILY))
+    tc = classify_tau(lts)
+    weak = compute_partition(lts, "weak")
+    assert refined == ["weak"] and weak is tc.weak
+    # relation and the pair kinds' base read the same partition
+    assert relation(lts, "weak") is weak
+    relation(lts, "quasi-strong")
+    assert refined == ["weak", "quasi-strong"]

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from pcalc.semantics import (
     Action,
     Bounds,
     SaturationOnTruncated,
+    SilentClosures,
     build_lts,
     closures,
     diverges,
@@ -210,3 +213,20 @@ def test_lts_exports():
     assert dot.startswith("digraph") and "doublecircle" not in dot
     divergent = build_lts(parse("!a | !'a"), Bounds(10, 10))
     assert "doublecircle" in divergent.to_dot()
+
+
+def test_read_silent_closures_are_freed_without_the_cyclic_collector():
+    # A closure holds the step, bound and cap it reads, not its owner, so a
+    # finished game's or trace search's closures die with their last reference.
+    lts = build_lts(parse("a.'b | 'a | b"), Bounds(50, 50))
+    term = canonicalize(parse("a.'b | 'a | b"))
+    for graph_states in (True, False):
+        cls = closures(lts) if graph_states else SilentClosures(step, 4, 64)
+        assert len(cls[lts.initial if graph_states else term].states()[0]) > 1
+        ref = weakref.ref(cls)
+        gc.disable()
+        try:
+            del cls
+            assert ref() is None
+        finally:
+            gc.enable()
