@@ -22,7 +22,6 @@ from .semantics import (
     cache_info,
     clear_caches,
     diverges,
-    saturate,
     step,
     union_lts,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "ho_subst",
     "parse",
     "render",
-    "saturate",
     "sc_equal",
     "step",
     "union_lts",

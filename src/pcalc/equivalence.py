@@ -53,9 +53,31 @@ class Partition:
     kind: str
     block_of: tuple
     iterations: int = 0
+    # how the refinement split its blocks, a forest of at most 2n nodes: a
+    # parent and a round per node, -1 the parent of a root, and the node of
+    # each final block. A root is a block of the initial partition; a block
+    # that a round splits in k gets k children, each labelled with that round.
+    splits: tuple = field(default=None, compare=False, repr=False)
 
     def relates(self, s: int, t: int) -> bool:
         return self.block_of[s] == self.block_of[t]
+
+    def separation_round(self, s: int, t: int):
+        """The refinement round that first put s and t in different blocks: 0
+        when the initial partition did, inf when no round did. It is the round
+        of the children of the two final blocks' lowest common ancestor."""
+        parent, rounds, leaf = self.splits
+        x, y = leaf[self.block_of[s]], leaf[self.block_of[t]]
+        if x == y:
+            return math.inf
+        # rounds grow down every path, so climbing from the node of the later
+        # round reaches the ancestor's two children together
+        while parent[x] != parent[y]:
+            if rounds[x] >= rounds[y]:
+                x = parent[x]
+            else:
+                y = parent[y]
+        return rounds[x]
 
     @property
     def blocks(self):
@@ -165,8 +187,12 @@ def compute_partition(lts: Lts, kind: str) -> Partition:
         raise TruncatedInput("partitions need a complete graph")
     part = lts.partitions.get(kind)
     if part is None:
-        part = lts.partitions[kind] = _refine(lts, kind, _index_groups([(d,) for d in lts.diverges]))
+        part = lts.partitions[kind] = _refine(lts, kind, _divergence_split(lts))
     return part
+
+
+def _divergence_split(lts: Lts) -> list:
+    return _index_groups([(d,) for d in lts.diverges])
 
 
 def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
@@ -179,21 +205,44 @@ def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
     set them apart, so every round numbers its blocks, and counts its
     rounds, as if it had signed every state. A round with no live state is
     the confirming round: it counts, and computes nothing.
+
+    The partition's `splits` records which round split which block, in
+    O(blocks) per round: each new block's key starts with its old block.
     """
     signatures = _strong_signatures(lts) if kind == "strong" else _silent_signatures(lts, kind)
+    roots = max(block_of, default=-1) + 1
+    parent, rounds, node = [-1] * roots, [0] * roots, list(range(roots))  # node: per block, its forest node
     iterations = 0
     while True:
         iterations += 1
         sizes = Counter(block_of)
         if len(sizes) == len(block_of):
-            return Partition(kind, tuple(block_of), iterations)
+            return Partition(kind, tuple(block_of), iterations, (parent, rounds, node))
         live = [sizes[b] > 1 for b in block_of] if 1 in sizes.values() else None
-        new_block_of = _index_groups(zip(block_of, signatures(block_of, live)))
+        new_block_of, olds = _next_round(block_of, signatures(block_of, live))
+        pieces = Counter(olds)
+        nodes = []
+        for b in olds:
+            if pieces[b] > 1:
+                parent.append(node[b])
+                rounds.append(iterations)
+                nodes.append(len(parent) - 1)
+            else:
+                nodes.append(node[b])
+        node = nodes
         if max(new_block_of, default=-1) == max(block_of, default=-1):
-            return Partition(kind, tuple(new_block_of), iterations)
+            return Partition(kind, tuple(new_block_of), iterations, (parent, rounds, node))
         block_of = new_block_of
         if history is not None:
             history.append(block_of)
+
+
+def _next_round(block_of, signatures):
+    """The blocks of (block, signature) keys, numbered by first member, and
+    each new block's old block."""
+    ids = {}
+    new_block_of = [ids.setdefault(k, len(ids)) for k in zip(block_of, signatures)]
+    return new_block_of, [b for b, _sig in ids]
 
 
 def _index_groups(keys):
@@ -366,12 +415,30 @@ def pair_gfp(lts: Lts, kind: str, seed_pairs) -> Partition:
     return _refine(lts, kind, _index_groups(list(zip(least, lts.diverges))))
 
 
+def _separation_rounds(lts: Lts, kind: str) -> Partition:
+    """kind's refinement from the divergence split, memoised on the graph:
+    for a partition kind, its partition. A pair kind's relation refines the
+    weak or branching classes instead, whose rounds say little about ranks,
+    so the pair kind is refined once more, from the divergence split."""
+    if kind in PARTITION_KINDS:
+        return compute_partition(lts, kind)
+    key = (kind, "divergence split")
+    part = lts.partitions.get(key)
+    if part is None:
+        part = lts.partitions[key] = _refine(lts, kind, _divergence_split(lts))
+    return part
+
+
 def relation(lts: Lts, kind: str, parts: dict = None) -> Partition:
-    """The equivalence of any of the five kinds, reusing the partitions in parts."""
+    """The equivalence of any of the five kinds, reusing the partitions in
+    parts. Memoised on the graph, as `compute_partition` is."""
     if kind in PAIR_KINDS:
-        # each pair kind lies within its transfer style's partition kind
-        base = "weak" if kind == "quasi-strong" else "branching"
-        return pair_gfp(lts, kind, relation(lts, base, parts).pairs)
+        rel = lts.partitions.get(kind)
+        if rel is None:
+            # each pair kind lies within its transfer style's partition kind
+            base = "weak" if kind == "quasi-strong" else "branching"
+            rel = lts.partitions[kind] = pair_gfp(lts, kind, relation(lts, base, parts).pairs)
+        return rel
     return (parts or {}).get(kind) or compute_partition(lts, kind)
 
 
@@ -443,13 +510,20 @@ class _RankSearch:
     bounds lo <= rank <= hi, so no (pair, k) is searched twice. Pairs under search
     are coroutines on an explicit stack, clear of the recursion limit.
 
-    `rank` deepens one rank at a time, so the weak search on two silent chains
-    of n states bounds n^2 pairs in about n^3 time.
+    A pair's lower bound starts at the round in which the kind's refinement
+    from the divergence split first separates it (`rounds`). A pair of rank
+    k has a challenge each of whose answers holds a continuation of rank
+    below k, which round k - 1 already separates, so round k separates the
+    pair. Round 0 separates exactly the pairs whose divergence flags differ,
+    of rank 0. The bound is exact on most pairs, and `rank` deepens one rank
+    at a time from it; on two silent chains of n states every pair separates
+    in round 1, so the weak search still bounds n^2 pairs in about n^3 time.
     """
 
     def __init__(self, lts: Lts, kind: str, relates):
         self.lts, self.kind, self.relates = lts, kind, relates
         self.cls = closures(lts)
+        self.rounds = _separation_rounds(lts, kind)
         self.lo, self.hi = {}, {}
         self._responses = {}
 
@@ -476,10 +550,10 @@ class _RankSearch:
             l, r = pair
             if self.relates(l, r):
                 self.lo[pair] = math.inf
-            elif self.lts.diverges[l] != self.lts.diverges[r]:
-                self.lo[pair] = self.hi[pair] = 0
             else:
-                self.lo[pair] = 1
+                self.lo[pair] = self.rounds.separation_round(l, r)
+                if not self.lo[pair]:
+                    self.hi[pair] = 0
         if k < self.lo[pair]:
             return False
         return True if self.hi.get(pair, math.inf) <= k else None
@@ -549,6 +623,11 @@ def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
     lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
     the pairs the search bounded. Answers come from `_respond` over the
     graph's silent closures; the strong style reads none of them.
+
+    The search starts each pair's bound at the round that separates it in
+    the kind's refinement: for a partition kind the memoised
+    `compute_partition`, for a pair kind one refinement from the divergence
+    split. Ranks stay exact, so the trace does not depend on the bound.
     """
     start = tuple(start)
     if relates(*start):

@@ -1,7 +1,6 @@
 """First-order operational semantics: single steps, bounded state graphs,
 their silent-step SCCs, divergence analysis, and one lazy silent-closure
-helper, for terms, part-id states and graph states alike, with weak and
-delay saturation.
+helper, for terms, part-id states and graph states alike.
 
 State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
@@ -292,8 +291,9 @@ class Lts:
     sort-key order, so tau is 0, and moves[s] holds s's (action id, target)
     pairs. `edges` and `succ` are views of that table. The constructor takes
     (src, Action, dst) edges, or, when `actions` is given, the table itself.
-    `partitions` memoises each partition kind's refinement
-    (`equivalence.compute_partition`).
+    `partitions` memoises each kind's relation (`equivalence.relation`),
+    and each pair kind's refinement from the divergence split, which trace
+    extraction reads.
     """
 
     def __init__(self, states, edges, initials, truncated, frontier, depth, diverges=None, actions=None):
@@ -637,28 +637,3 @@ def closures(lts: Lts) -> SilentClosures:
     if lts.truncated:
         raise SaturationOnTruncated("closures need a complete graph")
     return SilentClosures(lts.succ, None, lts.num_states())
-
-
-@dataclass
-class SaturatedLts:
-    """A complete graph together with one mode's derived transitions."""
-
-    lts: Lts
-    mode: str  # 'weak' | 'delay'
-    derived: list  # (src, Action, dst) incl. reflexive => as (s, tau, s)
-
-
-def saturate(lts: Lts, mode: str) -> SaturatedLts:
-    if mode not in ("weak", "delay"):
-        raise ValueError(f"unknown saturation mode {mode!r}")
-    cls = closures(lts)
-    derived = set()
-    for s in range(lts.num_states()):
-        pres, _complete = cls[s].states()
-        derived.update((s, TAU, t) for t in pres if mode == "weak" or t != s)
-        if mode == "weak":
-            moves, _complete = cls.weak_moves(s, lambda a: not a.is_tau)
-        else:
-            moves = [(a, t) for pre in pres for a, t in lts.succ(pre) if not a.is_tau]
-        derived.update((s, a, t) for a, t in moves)
-    return SaturatedLts(lts, mode, sorted(derived, key=lambda e: (e[0], e[1].sort_key(), e[2])))

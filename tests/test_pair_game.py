@@ -10,12 +10,15 @@ traces.
 
 A second reference keeps the on-demand rank search as it was before it
 walked the memoised responses in place: it resumed the `answers` generator
-for every answer of every expansion. The search must give the same traces
-and the same `rank_pairs` as it.
+for every answer of every expansion, and started every pair's lower bound
+at 1. The search must give the same traces as it, and, given the same lower
+bounds (the one change to it), the same `rank_pairs`.
 """
 
 import math
 import random
+
+import pytest
 
 from pcalc import equivalence
 from pcalc.equivalence import (
@@ -28,6 +31,7 @@ from pcalc.equivalence import (
     _answer,
     _challenges,
     _respond,
+    _separation_rounds,
     compute_partition,
     decide,
     extract_trace,
@@ -270,10 +274,13 @@ class _GeneratorRankSearch:
     search decides it exactly. Each decided query tightens the pair's proven
     bounds lo <= rank <= hi, so no (pair, k) is searched twice. Pairs under search
     are coroutines on an explicit stack, clear of the recursion limit.
+    lower(l, r), when given, starts the lower bound of a pair whose
+    divergence flags agree, in place of 1.
     """
 
-    def __init__(self, lts: Lts, kind: str, relates):
+    def __init__(self, lts: Lts, kind: str, relates, lower=None):
         self.lts, self.kind, self.relates = lts, kind, relates
+        self.lower = lower
         self.cls = closures(lts)
         self.lo, self.hi = {}, {}
         self._responses = {}
@@ -300,7 +307,7 @@ class _GeneratorRankSearch:
             elif self.lts.diverges[l] != self.lts.diverges[r]:
                 self.lo[pair] = self.hi[pair] = 0
             else:
-                self.lo[pair] = 1
+                self.lo[pair] = 1 if self.lower is None else self.lower(l, r)
         if k < self.lo[pair]:
             return False
         return True if self.hi.get(pair, math.inf) <= k else None
@@ -349,7 +356,7 @@ class _GeneratorRankSearch:
         raise InvalidRequest("refutation rank search did not converge")
 
 
-def generator_extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
+def generator_extract_trace(lts: Lts, kind: str, start, relates, lower=None) -> AttackerTrace:
     """Minimal attacker trace refuting the start pair; raises if it survives.
 
     Ranks are decided on demand (see `_GeneratorRankSearch`), only for pairs the trace
@@ -364,7 +371,7 @@ def generator_extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrac
     start = tuple(start)
     if relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
-    game = _GeneratorRankSearch(lts, kind, relates)
+    game = _GeneratorRankSearch(lts, kind, relates, lower)
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
@@ -390,11 +397,14 @@ def generator_extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrac
 
 
 def _same_search(lts, kind, start, relates) -> AttackerTrace:
-    """extract_trace, checked against the generator search; AttackerTrace
-    equality and to_json() leave rank_pairs out, so it is compared too."""
+    """extract_trace, checked against the generator search: the same trace
+    as the search from lower bound 1, and the same `rank_pairs` as the search
+    from the separation rounds (AttackerTrace equality and to_json() leave
+    rank_pairs out)."""
     new = extract_trace(lts, kind, start, relates)
-    ref = generator_extract_trace(lts, kind, start, relates)
-    assert (new.to_json(), new.rank_pairs) == (ref.to_json(), ref.rank_pairs), (kind, start)
+    assert new.to_json() == generator_extract_trace(lts, kind, start, relates).to_json(), (kind, start)
+    lower = _separation_rounds(lts, kind).separation_round
+    assert new.rank_pairs == generator_extract_trace(lts, kind, start, relates, lower).rank_pairs, (kind, start)
     return new
 
 
@@ -486,6 +496,51 @@ def test_deep_refutation_needs_no_recursion():
     assert verdict.outcome == "inequivalent"
     assert len(verdict.trace) == 300
     assert verdict.stats["rank_pairs"] >= 300
+    # 300 rounds split one state off each: the split record holds one root
+    # and two nodes per round, where a copy of block_of per round would hold
+    # 300 * 301 entries
+    lts = union_lts([deep, shallow], Bounds(1000, 400))
+    part = compute_partition(lts, "strong")
+    parent, rounds, leaf = part.splits
+    n = lts.num_states()
+    assert part.iterations == n and len(leaf) == n
+    assert len(parent) == len(rounds) <= 2 * n
+    assert part.separation_round(*lts.initials) == 300
+
+
+def _all_ranks(lts, cls, kind, relates):
+    """The exact rank of every unrelated pair, round by round over the whole
+    pair space, by the reference's challenge test."""
+    n = lts.num_states()
+    unrelated = [(s, t) for s in range(n) for t in range(n) if not relates(s, t)]
+    ranks = {p: 0 for p in unrelated if lts.diverges[p[0]] != lts.diverges[p[1]]}
+    rnd = 0
+    while len(ranks) < len(unrelated):
+        rnd += 1
+        newly = [p for p in unrelated if p not in ranks and _best_challenge(lts, cls, kind, p, ranks) is not None]
+        assert newly, "an unrelated pair has no finite rank"
+        ranks.update(dict.fromkeys(newly, rnd))
+    return ranks
+
+
+def test_separation_round_bounds_the_rank_from_below():
+    # one name: more silent edges, and pairs whose rank exceeds their round
+    graphs = [random_graph_lts(random.Random(seed), max_states=24, names=("a",)) for seed in SEEDS]
+    graphs += [build_lts(term, Bounds(40, 64)) for term in finite_state_corpus(random.Random(6), 40, max_states=40)]
+    pairs = above_one = 0
+    for lts in graphs:
+        cls = Closures(lts)
+        for kind in CCSM_KINDS:
+            rel = relation(lts, kind)
+            rounds = _separation_rounds(lts, kind)
+            # a pair kind's refinement from the divergence split reaches its relation
+            assert rounds.block_of == rel.block_of, kind
+            for (s, t), rank in _all_ranks(lts, cls, kind, rel.relates).items():
+                sep = rounds.separation_round(s, t)
+                assert sep == rank if kind == "strong" else sep <= rank, (kind, s, t)
+                pairs += 1
+                above_one += sep > 1
+    assert pairs > 40000 and above_one > 2000
 
 
 # The pair-relations benchmark's terms (bench/workloads.py).
@@ -540,6 +595,20 @@ def test_rank_search_reads_each_response_set_in_place(monkeypatch):
     verdict = decide(parse(P_SMALL), parse(P_SMALL_DROP), "quasi-strong")
     assert verdict.outcome == "inequivalent"
     assert len(verdict.trace) == 10
-    assert verdict.stats["rank_pairs"] == 916
+    assert verdict.stats["rank_pairs"] == 889
     # the search itself makes no _answer calls; only the trace-level loop does
     assert calls < 2000
+
+
+# ROADMAP W1 and the term one silent b-handshake away from it (bench/workloads.py).
+W1 = "a.b.'c.d | 'a.'b.c.'d | b.a.'d | 'b.'a.d | c.'c | !e | !'e"
+W1_TAU = "a.b.'c.d | a.'d | c.'c | 'a.d | 'a.'b.c.'d | !e | !'e"
+
+
+@pytest.mark.parametrize("kind, rank_pairs", [("weak", 273), ("branching", 408)])
+def test_rank_search_starts_from_the_separation_rounds(kind, rank_pairs):
+    # from lower bound 1, the search bounded 441 (weak) and 596 (branching) pairs
+    verdict = decide(parse(W1), parse(W1_TAU), kind)
+    assert verdict.outcome == "inequivalent"
+    assert len(verdict.trace) == 3
+    assert verdict.stats["rank_pairs"] == rank_pairs

@@ -7,7 +7,7 @@ the closures, branching signatures from a search per state, and stability in
 `classify_tau` from the closures. The SCC-ordered versions in
 `pcalc.semantics` and `pcalc.equivalence` must give the same flags,
 partitions (block numbering and round counts included) and classifications,
-and the lazy silent closures and `saturate` the same closures and edges.
+and the lazy silent closures the same closures.
 
 A second, per-state reference gives the quasi-strong and qs-branching rounds,
 so that all five kinds are compared on graphs whose rounds leave every block
@@ -29,6 +29,7 @@ from pcalc.equivalence import (
     PARTITION_KINDS,
     _refine,
     classify_tau,
+    coincidence_report,
     compute_partition,
     relation,
 )
@@ -45,7 +46,6 @@ from pcalc.semantics import (
     build_lts,
     closures,
     components,
-    saturate,
     union_lts,
 )
 from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
@@ -319,19 +319,6 @@ def test_refinement_matches_reference_on_random_graphs():
             assert set(moves) == {(a, t) for a, ts in weak[s].items() if not a.is_tau for t in ts}
 
 
-def test_saturate_matches_reference_on_random_graphs():
-    for lts in _random_graphs():
-        reach, weak, delay = old_closures(lts)
-        n = lts.num_states()
-        expected = {
-            "weak": {(s, a, t) for s in range(n) for a, ts in weak[s].items() for t in ts},
-            "delay": {(s, TAU, t) for s in range(n) for t in reach[s] if t != s}
-            | {(s, a, t) for s in range(n) for a, ts in delay[s].items() for t in ts},
-        }
-        for mode, edges in expected.items():
-            assert saturate(lts, mode).derived == sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2])), mode
-
-
 def test_refinement_matches_reference_on_the_w4_family():
     lts = build_lts(parse(W4_FAMILY))
     assert lts.num_states() == 322 and not lts.truncated
@@ -475,3 +462,15 @@ def test_classify_tau_and_the_caller_share_one_weak_refinement(monkeypatch):
     assert relation(lts, "weak") is weak
     relation(lts, "quasi-strong")
     assert refined == ["weak", "quasi-strong"]
+
+
+def test_each_kind_is_refined_once_per_graph(monkeypatch):
+    refined = []
+    real = equivalence._refine
+    monkeypatch.setattr(equivalence, "_refine", lambda lts, kind, *rest: refined.append(kind) or real(lts, kind, *rest))
+    lts = union_lts([parse(P + " | !a"), parse(P)])
+    qs = relation(lts, "quasi-strong")
+    assert relation(lts, "quasi-strong") is qs
+    report = coincidence_report(lts)
+    assert report.states == 196
+    assert Counter(refined) == dict.fromkeys(CCSM_KINDS, 1)

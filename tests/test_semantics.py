@@ -8,14 +8,12 @@ from oracles import naive_explore, naive_step
 from pcalc.genterms import random_ccsm, rng_from_env
 from pcalc.semantics import (
     TAU,
-    Action,
     Bounds,
     SaturationOnTruncated,
     SilentClosures,
     build_lts,
     closures,
     diverges,
-    saturate,
     step,
     union_lts,
 )
@@ -169,36 +167,10 @@ def test_diverges_unknown_state():
         diverges(lts, 99)
 
 
-def test_saturate_weak_adds_reflexive_and_mirrored_edges():
-    lts = build_lts(parse("a.0"), Bounds(10, 10))
-    sat = saturate(lts, "weak")
-    assert (0, TAU, 0) in sat.derived
-    assert (1, TAU, 1) in sat.derived
-    assert (0, Action("in", "a"), 1) in sat.derived
-
-
-def test_saturate_delay_includes_leading_tau():
-    # finite fragment of the growth pair's simulation: one silent step, then d
-    lts = build_lts(parse("a.d | 'a"), Bounds(50, 50))
-    sat = saturate(lts, "delay")
-    init = lts.initial
-    dests = {t for s, a, t in sat.derived if s == init and a == Action("in", "d")}
-    assert dests, "delay closure must see d through the leading tau"
-
-
-def test_saturate_tau_free_equals_primitive():
-    lts = build_lts(parse("a.b | c"), Bounds(50, 50))
-    weak = saturate(lts, "weak")
-    delay = saturate(lts, "delay")
-    reflexive = {(s, TAU, s) for s in range(lts.num_states())}
-    assert set(weak.derived) == set(lts.edges) | reflexive
-    assert set(delay.derived) == set(lts.edges)
-
-
-def test_saturate_refuses_truncated():
+def test_closures_refuse_truncated():
     lts = build_lts(parse("!c.d | !'c | d"), Bounds(8, 3))
     with pytest.raises(SaturationOnTruncated):
-        saturate(lts, "weak")
+        closures(lts)
 
 
 def test_lts_exports():
