@@ -7,6 +7,7 @@ Exit codes: 0 equivalent/true/certified, 1 inequivalent/false/refuted,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -157,7 +158,7 @@ def _cmd_lts(args) -> int:
     else:
         tag = " (truncated)" if lts.truncated else ""
         print(f"states: {lts.num_states()}{tag}")
-        print(f"edges: {len(lts.edges)}")
+        print(f"edges: {sum(map(len, lts.moves))}")
         print(f"diverges(initial): {lts.diverges[lts.initial]}")
     return EXIT_YES
 
@@ -240,7 +241,7 @@ def _cmd_tau_classify(args) -> int:
 def _cmd_certify(args) -> int:
     cert = load_certificate(args.relation)
     if args.budget is not None:
-        cert.closure_budget = args.budget
+        cert = dataclasses.replace(cert, closure_budget=args.budget)  # __post_init__ checks it
     result = check_certificate(cert)
     if args.json:
         print(_dump(result.to_json()))

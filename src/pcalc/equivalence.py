@@ -13,7 +13,8 @@ quasi-strong-branching bisimilarity. Each is an equivalence, returned as a
 branching classes. Refuted pairs come with a minimal, replayable attacker
 trace, built from ranks searched on demand.
 
-A strong signature is read off a state's own moves. The others are built once
+Every signature codes a move to block b by action id a as a * width + b. A
+strong signature is read off a state's own moves. The others are built once
 per silent-step SCC, sinks first, from the SCC's own moves and the signatures
 of the SCCs its silent steps lead to, so refinement reads no weak closures.
 """
@@ -173,31 +174,31 @@ class Verdict:
 
 
 def compute_partition(lts: Lts, kind: str) -> Partition:
-    """Coarsest divergence-sensitive partition for the given transfer style.
+    """Coarsest divergence-sensitive partition for any of the five kinds.
 
     The initial partition splits by the divergence flag; each round then
-    splits blocks by transition signatures until nothing changes. A round
-    signs only the states in blocks of at least two members, plus the silent
-    SCCs those states read; `iterations` still counts the confirming round.
-    Memoised on the graph: every call for one kind returns the same partition.
+    splits blocks by signatures (see `_refine`) until nothing changes.
+    Memoised on the graph: every call for one kind returns the same
+    partition. It is a partition kind's relation. A pair kind's relation has
+    the same blocks, but `relation` refines it from the weak or branching
+    classes instead, in fewer rounds; trace extraction reads the rounds of
+    this refinement for every kind.
     """
-    if kind not in PARTITION_KINDS:
-        raise ValueError(f"not a partition kind: {kind!r}")
+    if kind not in CCSM_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     if lts.truncated:
         raise TruncatedInput("partitions need a complete graph")
     part = lts.partitions.get(kind)
     if part is None:
-        part = lts.partitions[kind] = _refine(lts, kind, _divergence_split(lts))
+        part = lts.partitions[kind] = _refine(lts, kind, _index_groups([(d,) for d in lts.diverges]))
     return part
-
-
-def _divergence_split(lts: Lts) -> list:
-    return _index_groups([(d,) for d in lts.diverges])
 
 
 def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
     """Splits the blocks of block_of by kind signatures until a round splits
     none. `history`, when given, receives each partition a round changed.
+    A signature is a frozenset of move codes (strong, branching) or bitmasks
+    over them (weak, the quasi-strong kinds); see `_silent_signatures`.
 
     A state alone in its block can never split again, so a round signs only
     the live states, those in blocks of at least two members (`live` None:
@@ -254,8 +255,9 @@ def _strong_signatures(lts: Lts):
     moves = lts.moves
 
     def signatures(block_of, live):
+        width = max(block_of, default=0) + 1
         return [
-            frozenset((a, block_of[t]) for a, t in row) if live is None or live[s] else None
+            frozenset(a * width + block_of[t] for a, t in row) if live is None or live[s] else None
             for s, row in enumerate(moves)
         ]
 
@@ -286,28 +288,27 @@ def _silent_signatures(lts: Lts, kind: str):
     per silent SCC, sinks first, from the SCC's own visible moves and the
     SCCs its silent steps exit to (`exits`), whose signatures are already
     built. A round builds them only for the live states (see `_refine`) and
-    the SCCs those states read; the others sign as None.
+    the SCCs those states read; the others sign as None. A move to block b by
+    action id a has code a * width + b, so a silent move's code is its block.
 
     Under weak and branching, the members of a silent SCC share a block in
     every round: they start with one divergence flag, and as they reach the
     same states silently, a round gives them one signature. So the block of
     an SCC is that of its first member, and so is its liveness.
 
-    - weak: the blocks reached silently, and per visible action a the blocks
-      reached by =>a=>, as bitmasks over block ids. `reach` is built for
-      every SCC; the per-action sets only for the SCCs a live SCC reaches
-      silently.
     - branching: the moves out of the SCC's silent closure within its own
-      block, as (action code, block) codes. A silent exit into the own block
-      is inert: that SCC's signature is part of this one. This is the set a
-      search from each member along silent steps inside its block would find.
-      An inert exit of a live SCC shares its block, so it is live too: only
-      the live SCCs are built.
-    - quasi-strong, qs-branching (see above): per state, its silent
-      successors' blocks, and the => -a-> moves its SCC shares, as bitmasks
-      over the codes a * width + [t], keyed by the mid's block for
-      qs-branching (by 0 otherwise), kept for the keys that live states read
-      at or above it.
+      block, as a set of codes. A silent exit into the own block is inert:
+      that SCC's signature is part of this one. This is the set a search from
+      each member along silent steps inside its block would find. An inert
+      exit of a live SCC shares its block, so it is live too: only the live
+      SCCs are built.
+    - weak, quasi-strong, qs-branching: one pass (`closure_moves`) builds,
+      per SCC, the moves s => m -a-> t its members share, as one bitmask over
+      codes per key: the mid's block for qs-branching, 0 otherwise. The
+      quasi-strong kinds code t by its block; weak codes it by every block t
+      reaches silently, each a t' of s =>a=> t'. A weak signature pairs that
+      mask with `reach`, the blocks its SCC reaches silently; a quasi-strong
+      one, per state, adds its silent successors' blocks to the mask.
     """
     sccs = lts.silent_sccs()
     moves = lts.moves
@@ -315,35 +316,40 @@ def _silent_signatures(lts: Lts, kind: str):
     first = [scc[0] for scc in sccs.members]
     of, exits = sccs.of, sccs.exits
 
+    def closure_moves(block_of, live, key, code):
+        """Per SCC: key -> bitmask of code(a, t) over its members' moves
+        s => m -a-> t, keyed by key[m], kept for the keys that live states
+        read at or above it."""
+        need = [0] * len(first)  # per SCC: bitmask of the keys live states read at or above it
+        for c in reversed(range(len(first))):
+            for u in sccs.members[c]:
+                if live is None or live[u]:
+                    need[c] |= 1 << key[u]
+            for d in exits[c]:
+                need[d] |= need[c]
+        after = []
+        for c in range(len(first)):
+            w = {}
+            if need[c]:
+                for d in exits[c]:
+                    for b, m in after[d].items():
+                        if need[c] >> b & 1:
+                            w[b] = w.get(b, 0) | m
+                for u, a, t in visible[c]:
+                    w[key[u]] = w.get(key[u], 0) | code(a, t)
+            after.append(w)
+        return after
+
     def weak(block_of, live):
+        width = max(block_of, default=0) + 1
         reach = []
         for c, f in enumerate(first):
             r = 1 << block_of[f]
             for d in exits[c]:
                 r |= reach[d]
             reach.append(r)
-        if live is not None:
-            need = [live[f] for f in first]  # per SCC: whether a live SCC reaches it silently
-            for c in reversed(range(len(first))):
-                if need[c]:
-                    for d in exits[c]:
-                        need[d] = True
-        after = []  # per SCC: visible action code -> bitmask of the =>a=> blocks
-        for c in range(len(first)):
-            if live is not None and not need[c]:
-                after.append(None)
-                continue
-            w = {}
-            for d in exits[c]:
-                for a, m in after[d].items():
-                    w[a] = w.get(a, 0) | m
-            for _u, a, t in visible[c]:
-                w[a] = w.get(a, 0) | reach[of[t]]
-            after.append(w)
-        return [
-            (r, tuple(sorted(w.items()))) if live is None or live[f] else None
-            for r, w, f in zip(reach, after, first)
-        ]
+        after = closure_moves(block_of, live, [0] * len(of), lambda a, t: reach[of[t]] << a * width)
+        return [(r, w.get(0, 0)) if live is None or live[f] else None for r, w, f in zip(reach, after, first)]
 
     def branching(block_of, live):
         width = max(block_of, default=0) + 1
@@ -364,32 +370,20 @@ def _silent_signatures(lts: Lts, kind: str):
         return out
 
     def quasi_strong(block_of, live):
-        key = block_of if kind == "qs-branching" else [0] * len(of)
         width = max(block_of, default=0) + 1
-        need = [0] * len(first)  # per SCC: bitmask of the keys live states read at or above it
-        for c in reversed(range(len(first))):
-            for u in sccs.members[c]:
-                if live is None or live[u]:
-                    need[c] |= 1 << key[u]
-            for d in exits[c]:
-                need[d] |= need[c]
-        after = []  # per SCC: key -> bitmask of the => -a-> codes
-        for c in range(len(first)):
-            w = {}
-            if need[c]:
-                for d in exits[c]:
-                    for b, m in after[d].items():
-                        if need[c] >> b & 1:
-                            w[b] = w.get(b, 0) | m
-                for u, a, t in visible[c]:
-                    w[key[u]] = w.get(key[u], 0) | 1 << (a * width + block_of[t])
-            after.append(w)
-        return [
-            (frozenset(block_of[t] for a, t in row if not a), after[of[s]].get(key[s], 0))
-            if live is None or live[s]
-            else None
-            for s, row in enumerate(moves)
-        ]
+        key = block_of if kind == "qs-branching" else [0] * len(of)
+        after = closure_moves(block_of, live, key, lambda a, t: 1 << (a * width + block_of[t]))
+        out = []
+        for s, row in enumerate(moves):
+            if live is None or live[s]:
+                sig = after[of[s]].get(key[s], 0)
+                for a, t in row:
+                    if not a:
+                        sig |= 1 << block_of[t]
+                out.append(sig)
+            else:
+                out.append(None)
+        return out
 
     if kind in PAIR_KINDS:
         return quasi_strong
@@ -415,31 +409,18 @@ def pair_gfp(lts: Lts, kind: str, seed_pairs) -> Partition:
     return _refine(lts, kind, _index_groups(list(zip(least, lts.diverges))))
 
 
-def _separation_rounds(lts: Lts, kind: str) -> Partition:
-    """kind's refinement from the divergence split, memoised on the graph:
-    for a partition kind, its partition. A pair kind's relation refines the
-    weak or branching classes instead, whose rounds say little about ranks,
-    so the pair kind is refined once more, from the divergence split."""
-    if kind in PARTITION_KINDS:
+def relation(lts: Lts, kind: str) -> Partition:
+    """The equivalence of any of the five kinds, memoised on the graph. A
+    pair kind's relation lies within its transfer style's partition kind, so
+    `pair_gfp` refines the weak or branching classes."""
+    if kind not in PAIR_KINDS:
         return compute_partition(lts, kind)
-    key = (kind, "divergence split")
-    part = lts.partitions.get(key)
-    if part is None:
-        part = lts.partitions[key] = _refine(lts, kind, _divergence_split(lts))
-    return part
-
-
-def relation(lts: Lts, kind: str, parts: dict = None) -> Partition:
-    """The equivalence of any of the five kinds, reusing the partitions in
-    parts. Memoised on the graph, as `compute_partition` is."""
-    if kind in PAIR_KINDS:
-        rel = lts.partitions.get(kind)
-        if rel is None:
-            # each pair kind lies within its transfer style's partition kind
-            base = "weak" if kind == "quasi-strong" else "branching"
-            rel = lts.partitions[kind] = pair_gfp(lts, kind, relation(lts, base, parts).pairs)
-        return rel
-    return (parts or {}).get(kind) or compute_partition(lts, kind)
+    key = (kind, "relation")
+    rel = lts.partitions.get(key)
+    if rel is None:
+        base = "weak" if kind == "quasi-strong" else "branching"
+        rel = lts.partitions[key] = pair_gfp(lts, kind, compute_partition(lts, base).pairs)
+    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +504,7 @@ class _RankSearch:
     def __init__(self, lts: Lts, kind: str, relates):
         self.lts, self.kind, self.relates = lts, kind, relates
         self.cls = closures(lts)
-        self.rounds = _separation_rounds(lts, kind)
+        self.rounds = compute_partition(lts, kind)
         self.lo, self.hi = {}, {}
         self._responses = {}
 
@@ -625,9 +606,9 @@ def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
     graph's silent closures; the strong style reads none of them.
 
     The search starts each pair's bound at the round that separates it in
-    the kind's refinement: for a partition kind the memoised
-    `compute_partition`, for a pair kind one refinement from the divergence
-    split. Ranks stay exact, so the trace does not depend on the bound.
+    the kind's refinement from the divergence split, the memoised
+    `compute_partition`. Ranks stay exact, so the trace does not depend on
+    the bound.
     """
     start = tuple(start)
     if relates(*start):
@@ -778,8 +759,7 @@ class CoincidenceReport:
 def coincidence_report(lts: Lts) -> CoincidenceReport:
     if lts.truncated:
         raise TruncatedInput("coincidence report needs a complete graph")
-    parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
-    rels = {k: relation(lts, k, parts) for k in CCSM_KINDS}
+    rels = {k: relation(lts, k) for k in CCSM_KINDS}
     weak, qs = rels["weak"], rels["quasi-strong"]
     violations = []
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 import random
 
-from .semantics import Action, Bounds, Lts, _divergence_flags, build_lts
+from .semantics import Action, Bounds, Lts, build_lts
 from .syntax import (
     NIL,
     HoInput,
@@ -153,6 +153,4 @@ def random_graph_lts(rng: random.Random, max_states: int = 50, names=("a", "b"))
         edges.add((s, a, t))
     edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
     states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
-    lts = Lts(states, edges, (0,), False, frozenset(), [0] * n)
-    lts.diverges = _divergence_flags(lts)
-    return lts
+    return Lts(states, edges, (0,), False, frozenset())

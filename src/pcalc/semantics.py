@@ -285,18 +285,19 @@ class Lts:
 
     States are pairwise distinct canonical terms; frontier states are those
     whose outgoing transitions were not expanded (nonempty only when
-    truncated). diverges holds one of 'yes'/'no'/'unknown' per state.
+    truncated). diverges holds one of 'yes'/'no'/'unknown' per state, computed
+    by the constructor.
 
     The moves are stored once, int-coded: `actions` numbers the actions in
     sort-key order, so tau is 0, and moves[s] holds s's (action id, target)
     pairs. `edges` and `succ` are views of that table. The constructor takes
     (src, Action, dst) edges, or, when `actions` is given, the table itself.
-    `partitions` memoises each kind's relation (`equivalence.relation`),
-    and each pair kind's refinement from the divergence split, which trace
-    extraction reads.
+    `partitions` memoises each kind's refinement from the divergence split
+    (`equivalence.compute_partition`) and each pair kind's relation
+    (`equivalence.relation`).
     """
 
-    def __init__(self, states, edges, initials, truncated, frontier, depth, diverges=None, actions=None):
+    def __init__(self, states, edges, initials, truncated, frontier, actions=None):
         if actions is None:
             actions = sorted({a for _s, a, _t in edges} | {TAU}, key=Action.sort_key)
             aid = {a: i for i, a in enumerate(actions)}
@@ -304,13 +305,13 @@ class Lts:
             for s, a, t in edges:
                 rows[s].append((aid[a], t))
             edges = [tuple(row) for row in rows]
-        self.states, self.initials, self.depth = states, initials, depth
+        self.states, self.initials = states, initials
         self.truncated, self.frontier = truncated, frontier
-        self.diverges = [] if diverges is None else diverges
         self.actions, self.moves = tuple(actions), edges
         self._succ = [None] * len(states)
         self.partitions = {}
         self._sccs = _silent_sccs(self)
+        self.diverges = _divergence_flags(self)
 
     @property
     def initial(self) -> int:
@@ -417,9 +418,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
             depth.append(depth[pos] + 1)
         table.append(tuple(sorted((a, index[t]) for a, t in moves)))
         pos += 1
-    lts = Lts(states, table, tuple(initials), truncated, frozenset(frontier), depth, actions=parts.actions)
-    lts.diverges = _divergence_flags(lts)
-    return lts
+    return Lts(states, table, tuple(initials), truncated, frozenset(frontier), actions=parts.actions)
 
 
 # ---------------------------------------------------------------------------

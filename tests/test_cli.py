@@ -152,6 +152,8 @@ def test_lts_output_is_pinned_on_w1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == "b080294a752517fd3d0344460b86f786aa16ec7cc05f1693ca1124b4ce1daf5b"
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == "075c4092d35d76626a4458ab5d8ba14595ce06cd81c80dcfae540f783024ef07"
+    assert run(["lts", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["states: 1083", "edges: 8098", "diverges(initial): yes"]
 
 
 def test_diverges_exit_codes(tmp_path):
@@ -184,6 +186,14 @@ def test_certify_command(tmp_path, capsys):
         tmp_path, "bad.json", json.dumps({"discipline": "plain", "budget": 16, "pairs": [["a.0", "'a.0"]]})
     )
     assert run(["certify", "--relation", bad]) == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_certify_rejects_a_budget_below_one(tmp_path, capsys, budget):
+    cert = {"discipline": "upto-context", "budget": 64, "pairs": [["!(a | 'a)", "a | 'a | !(a | 'a)"]]}
+    path = write(tmp_path, "cert.json", json.dumps(cert))
+    assert run(["certify", "--relation", path, f"--budget={budget}"]) == 3
+    assert capsys.readouterr().err.strip() == "error: closure budget must be positive"
 
 
 def test_paper_examples_list_and_run(capsys):

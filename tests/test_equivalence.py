@@ -17,7 +17,7 @@ from pcalc.equivalence import (
     relation,
 )
 from pcalc.genterms import random_graph_lts, rng_from_env
-from pcalc.semantics import Action, Bounds, Lts, _divergence_flags, build_lts, union_lts
+from pcalc.semantics import Action, Bounds, Lts, build_lts, union_lts
 from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
 
 
@@ -28,9 +28,7 @@ def graph(n, labeled_edges, initials=(0,)):
         ((s, Action.from_label(lab), t) for s, lab, t in labeled_edges),
         key=lambda e: (e[0], e[1].sort_key(), e[2]),
     )
-    lts = Lts(states, edges, tuple(initials), False, frozenset(), [0] * n)
-    lts.diverges = _divergence_flags(lts)
-    return lts
+    return Lts(states, edges, tuple(initials), False, frozenset())
 
 
 def test_partition_rejects_truncated():
@@ -65,6 +63,18 @@ def test_partitions_are_divergence_sensitive():
         for block in part.blocks:
             flags = {lts.diverges[s] for s in block}
             assert len(flags) == 1
+
+
+def test_a_graph_built_from_edges_carries_its_divergence_flags():
+    # The constructor computes the flags, so no caller can leave them empty:
+    # an empty list made every partition one empty block, and relates() fail.
+    states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(3)]
+    tau, a = Action.from_label("tau"), Action.from_label("a")
+    lts = Lts(states, [(0, tau, 1), (1, tau, 0), (2, a, 2)], (0,), False, frozenset())
+    assert lts.diverges == ["yes", "yes", "no"]
+    for kind in CCSM_KINDS:
+        part = relation(lts, kind)
+        assert part.relates(0, 1) and not part.relates(1, 2), kind
 
 
 def test_check_pair_reflexive():
@@ -212,8 +222,7 @@ def test_coincidence_report_json_is_pinned_on_the_smallest_weak_qs_split():
 def _pair_set_coincidence_report(lts):
     """coincidence_report as it was when it compared the five relations as
     pair sets, kept verbatim."""
-    parts = {k: compute_partition(lts, k) for k in PARTITION_KINDS}
-    pairs = {k: relation(lts, k, parts).pairs for k in CCSM_KINDS}
+    pairs = {k: relation(lts, k).pairs for k in CCSM_KINDS}
     weak, qs = pairs["weak"], pairs["quasi-strong"]
     violations = []
 

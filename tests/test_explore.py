@@ -1,10 +1,11 @@
 """State exploration over part-id multisets against a frozen reference.
 
-The reference below is the earlier implementation, kept verbatim: `step`
+The reference below is the earlier implementation, kept verbatim but for
+the `Lts` constructor, which now computes the divergence flags: `step`
 builds, sorts and interns a whole parallel term for every move, and
 `union_lts` steps every state through it. `pcalc.semantics` must give the
-same graphs (states, numbering, edges, truncation, depths) and the same
-single steps.
+same graphs (states, numbering, edges, truncation, divergence flags) and the
+same single steps.
 """
 
 import gc
@@ -14,7 +15,7 @@ import tracemalloc
 from pcalc import semantics, syntax
 from pcalc.genterms import finite_state_corpus, random_ccsm, random_graph_lts, random_stabilizing
 from pcalc.hocore import TestFamilies, ho_step
-from pcalc.semantics import TAU, Action, Bounds, Lts, _divergence_flags, cache_info, clear_caches
+from pcalc.semantics import TAU, Action, Bounds, Lts, cache_info, clear_caches
 from pcalc.syntax import InputPrefix, Nil, OutputPrefix, Par, Repl, Term, canonical_par, canonicalize, parse, term_key
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
             edges.append((pos, a, index[t]))
         pos += 1
     edges.sort(key=lambda e: (e[0], e[1].sort_key(), e[2]))
-    lts = Lts(states, edges, tuple(initials), truncated, frozenset(frontier), depth)
-    lts.diverges = _divergence_flags(lts)
-    return lts
+    return Lts(states, edges, tuple(initials), truncated, frozenset(frontier))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,6 @@ def assert_same_graph(roots, bounds):
     new = semantics.union_lts(roots, bounds)
     ref = union_lts(roots, bounds)
     assert new.to_json() == ref.to_json()
-    assert new.depth == ref.depth
     for s in new.states:
         assert semantics.step(s) == step(s)
 
@@ -268,7 +266,7 @@ def test_clear_caches_empties_the_live_tables_in_place():
     assert semantics.step(term) == moves
     assert ho_step(ho_term, TestFamilies.default(ho_term, ho_term)) == ho_moves
     after = semantics.union_lts([term], Bounds(100, 8))
-    assert after.to_json() == before.to_json() and after.depth == before.depth
+    assert after.to_json() == before.to_json()
     assert cache_info()["step"] == len(semantics._step_cache) > 0
     assert cache_info()["shift"] == len(syntax._shift_memo) > 0
 
@@ -295,9 +293,7 @@ BENCH_GRAPHS = (
 
 def from_edges(lts):
     """The same graph, built from its edge list."""
-    copy = Lts(lts.states, lts.edges, lts.initials, lts.truncated, lts.frontier, lts.depth)
-    copy.diverges = _divergence_flags(copy)
-    return copy
+    return Lts(lts.states, lts.edges, lts.initials, lts.truncated, lts.frontier)
 
 
 def assert_same_views(coded, listed):
@@ -326,8 +322,7 @@ def test_explored_and_edge_list_graphs_agree():
         assert_same_views(lts, from_edges(lts))
     for _ in range(40):
         listed = random_graph_lts(rng, max_states=rng.choice((8, 30)))
-        coded = Lts(listed.states, listed.moves, listed.initials, False, frozenset(), listed.depth, actions=listed.actions)
-        coded.diverges = _divergence_flags(coded)
+        coded = Lts(listed.states, listed.moves, listed.initials, False, frozenset(), actions=listed.actions)
         assert_same_views(coded, listed)
 
 

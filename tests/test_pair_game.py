@@ -31,7 +31,6 @@ from pcalc.equivalence import (
     _answer,
     _challenges,
     _respond,
-    _separation_rounds,
     compute_partition,
     decide,
     extract_trace,
@@ -403,7 +402,7 @@ def _same_search(lts, kind, start, relates) -> AttackerTrace:
     rank_pairs out)."""
     new = extract_trace(lts, kind, start, relates)
     assert new.to_json() == generator_extract_trace(lts, kind, start, relates).to_json(), (kind, start)
-    lower = _separation_rounds(lts, kind).separation_round
+    lower = compute_partition(lts, kind).separation_round
     assert new.rank_pairs == generator_extract_trace(lts, kind, start, relates, lower).rank_pairs, (kind, start)
     return new
 
@@ -532,7 +531,7 @@ def test_separation_round_bounds_the_rank_from_below():
         cls = Closures(lts)
         for kind in CCSM_KINDS:
             rel = relation(lts, kind)
-            rounds = _separation_rounds(lts, kind)
+            rounds = compute_partition(lts, kind)
             # a pair kind's refinement from the divergence split reaches its relation
             assert rounds.block_of == rel.block_of, kind
             for (s, t), rank in _all_ranks(lts, cls, kind, rel.relates).items():

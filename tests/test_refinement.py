@@ -13,8 +13,13 @@ A second, per-state reference gives the quasi-strong and qs-branching rounds,
 so that all five kinds are compared on graphs whose rounds leave every block
 split to singletons, drain their live states (those in blocks of at least two
 members) round by round, or never leave a singleton block.
+
+A third reference keeps the signature builders as they were before every
+signature coded its moves as a * width + b: every kind's refinement must go
+through the same rounds, block numbering and split record with them.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -42,7 +47,6 @@ from pcalc.semantics import (
     Action,
     Bounds,
     Lts,
-    _divergence_flags,
     build_lts,
     closures,
     components,
@@ -293,7 +297,7 @@ def _assert_matches_reference(lts):
         assert (part.block_of, part.iterations) == old_compute_partition(lts, kind), kind
         parts[kind] = part
     for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):
-        part = relation(lts, kind, parts)
+        part = relation(lts, kind)
         assert (part.block_of, part.iterations) == old_pair_partition(lts, kind, parts[base].block_of), kind
     tc = classify_tau(lts, parts["weak"])
     assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["weak"].block_of)
@@ -349,9 +353,7 @@ N_LONG = 10**4
 def _silent_graph(edges, n):
     states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
     edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
-    lts = Lts(states, edges, (0,), False, frozenset(), [0] * n)
-    lts.diverges = _divergence_flags(lts)
-    return lts
+    return Lts(states, edges, (0,), False, frozenset())
 
 
 @pytest.mark.parametrize("shape", ["chain", "cycle"])
@@ -450,6 +452,27 @@ def test_weak_partition_signs_only_live_states():
     assert peak < 6 * 2**20
 
 
+def test_refinement_signatures_keep_the_collector_idle():
+    # Signatures are ints, (int, int) pairs and frozensets of ints, not
+    # (action, block) tuples, so a round allocates few objects the collector
+    # tracks. Signing with tuples, refinement ran 64 collections here for
+    # strong and 92 for weak.
+    lts = build_lts(parse(W2_VARIANT), Bounds(20000, 64))
+    for kind, bound in (("strong", 32), ("weak", 64)):
+        runs = []
+
+        def count(phase, _info):
+            runs.append(phase == "start")
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            compute_partition(lts, kind)
+        finally:
+            gc.callbacks.remove(count)
+        assert sum(runs) <= bound, kind
+
+
 def test_classify_tau_and_the_caller_share_one_weak_refinement(monkeypatch):
     refined = []
     real = equivalence._refine
@@ -474,3 +497,188 @@ def test_each_kind_is_refined_once_per_graph(monkeypatch):
     report = coincidence_report(lts)
     assert report.states == 196
     assert Counter(refined) == dict.fromkeys(CCSM_KINDS, 1)
+
+
+# ---------------------------------------------------------------------------
+# One move code and one => -a-> pass, against the earlier signature builders
+
+# The builders as they were before every signature coded a move to block b by
+# action a as a * width + b, and before weak shared the quasi-strong kinds'
+# => -a-> pass, kept verbatim apart from their names: strong signed with
+# (action id, block) tuples, weak with a (reach, ((action, mask), ...)) pair
+# built by its own pass, the quasi-strong kinds with a (frozenset, mask) pair.
+
+
+def parent_strong_signatures(lts: Lts):
+    moves = lts.moves
+
+    def signatures(block_of, live):
+        return [
+            frozenset((a, block_of[t]) for a, t in row) if live is None or live[s] else None
+            for s, row in enumerate(moves)
+        ]
+
+    return signatures
+
+
+def parent_silent_signatures(lts: Lts, kind: str):
+    """Weak, branching, quasi-strong or qs-branching signatures, built once
+    per silent SCC, sinks first, from the SCC's own visible moves and the
+    SCCs its silent steps exit to (`exits`), whose signatures are already
+    built. A round builds them only for the live states (see `_refine`) and
+    the SCCs those states read; the others sign as None.
+
+    Under weak and branching, the members of a silent SCC share a block in
+    every round: they start with one divergence flag, and as they reach the
+    same states silently, a round gives them one signature. So the block of
+    an SCC is that of its first member, and so is its liveness.
+
+    - weak: the blocks reached silently, and per visible action a the blocks
+      reached by =>a=>, as bitmasks over block ids. `reach` is built for
+      every SCC; the per-action sets only for the SCCs a live SCC reaches
+      silently.
+    - branching: the moves out of the SCC's silent closure within its own
+      block, as (action code, block) codes. A silent exit into the own block
+      is inert: that SCC's signature is part of this one. This is the set a
+      search from each member along silent steps inside its block would find.
+      An inert exit of a live SCC shares its block, so it is live too: only
+      the live SCCs are built.
+    - quasi-strong, qs-branching (see above): per state, its silent
+      successors' blocks, and the => -a-> moves its SCC shares, as bitmasks
+      over the codes a * width + [t], keyed by the mid's block for
+      qs-branching (by 0 otherwise), kept for the keys that live states read
+      at or above it.
+    """
+    sccs = lts.silent_sccs()
+    moves = lts.moves
+    visible = [[(u, a, t) for u in scc for a, t in moves[u] if a] for scc in sccs.members]
+    first = [scc[0] for scc in sccs.members]
+    of, exits = sccs.of, sccs.exits
+
+    def weak(block_of, live):
+        reach = []
+        for c, f in enumerate(first):
+            r = 1 << block_of[f]
+            for d in exits[c]:
+                r |= reach[d]
+            reach.append(r)
+        if live is not None:
+            need = [live[f] for f in first]  # per SCC: whether a live SCC reaches it silently
+            for c in reversed(range(len(first))):
+                if need[c]:
+                    for d in exits[c]:
+                        need[d] = True
+        after = []  # per SCC: visible action code -> bitmask of the =>a=> blocks
+        for c in range(len(first)):
+            if live is not None and not need[c]:
+                after.append(None)
+                continue
+            w = {}
+            for d in exits[c]:
+                for a, m in after[d].items():
+                    w[a] = w.get(a, 0) | m
+            for _u, a, t in visible[c]:
+                w[a] = w.get(a, 0) | reach[of[t]]
+            after.append(w)
+        return [
+            (r, tuple(sorted(w.items()))) if live is None or live[f] else None
+            for r, w, f in zip(reach, after, first)
+        ]
+
+    def branching(block_of, live):
+        width = max(block_of, default=0) + 1
+        out = []
+        for c, f in enumerate(first):
+            if live is not None and not live[f]:
+                out.append(None)
+                continue
+            own = block_of[f]
+            sig = {a * width + block_of[t] for _u, a, t in visible[c]}
+            for d in exits[c]:
+                b = block_of[first[d]]
+                if b == own:
+                    sig |= out[d]
+                else:
+                    sig.add(b)  # a silent exit: code 0 * width + b
+            out.append(frozenset(sig))
+        return out
+
+    def quasi_strong(block_of, live):
+        key = block_of if kind == "qs-branching" else [0] * len(of)
+        width = max(block_of, default=0) + 1
+        need = [0] * len(first)  # per SCC: bitmask of the keys live states read at or above it
+        for c in reversed(range(len(first))):
+            for u in sccs.members[c]:
+                if live is None or live[u]:
+                    need[c] |= 1 << key[u]
+            for d in exits[c]:
+                need[d] |= need[c]
+        after = []  # per SCC: key -> bitmask of the => -a-> codes
+        for c in range(len(first)):
+            w = {}
+            if need[c]:
+                for d in exits[c]:
+                    for b, m in after[d].items():
+                        if need[c] >> b & 1:
+                            w[b] = w.get(b, 0) | m
+                for u, a, t in visible[c]:
+                    w[key[u]] = w.get(key[u], 0) | 1 << (a * width + block_of[t])
+            after.append(w)
+        return [
+            (frozenset(block_of[t] for a, t in row if not a), after[of[s]].get(key[s], 0))
+            if live is None or live[s]
+            else None
+            for s, row in enumerate(moves)
+        ]
+
+    if kind in PAIR_KINDS:
+        return quasi_strong
+    per_scc = weak if kind == "weak" else branching
+
+    def signatures(block_of, live):
+        ids = _index_groups(per_scc(block_of, live))
+        return [ids[c] for c in of]
+
+    return signatures
+
+
+W1 = "a.b.'c.d | 'a.'b.c.'d | b.a.'d | 'b.'a.d | c.'c | !e | !'e"
+W1_TAU = "a.b.'c.d | a.'d | c.'c | 'a.d | 'a.'b.c.'d | !e | !'e"
+
+
+def _bench_graphs():
+    """The complete graphs of the benchmark's terms (bench/workloads.py)."""
+    return [
+        union_lts([parse(W1), parse(W1_TAU)]),
+        build_lts(parse(W2_VARIANT), Bounds(20000, 64)),
+        build_lts(parse(W4_FAMILY)),
+        union_lts([parse(P + " | !a"), parse(P)]),
+        union_lts([parse(P_SMALL), parse(P_SMALL_DROP)]),
+    ]
+
+
+def _rounds(lts, kind, seed):
+    """Every partition of kind's refinement from seed, its rounds and its split record."""
+    history = [list(seed)]
+    part = _refine(lts, kind, list(seed), history)
+    return history, part.block_of, part.iterations, part.splits
+
+
+def test_refinement_rounds_match_the_earlier_builders(monkeypatch):
+    graphs = _bench_graphs()
+    graphs += [random_graph_lts(random.Random(9700 + i), max_states=40, names=("a",) if i % 2 else ("a", "b")) for i in range(40)]
+    compared = 0
+    for lts in graphs:
+        seeds = {kind: _index_groups([(d,) for d in lts.diverges]) for kind in CCSM_KINDS}
+        for kind, base in (("quasi-strong", "weak"), ("qs-branching", "branching")):
+            seeds[kind + " from " + base] = _index_groups(zip(relation(lts, base).block_of, lts.diverges))
+        for name, seed in seeds.items():
+            kind = name.split(" from ")[0]
+            new = _rounds(lts, kind, seed)
+            with monkeypatch.context() as m:
+                m.setattr(equivalence, "_strong_signatures", parent_strong_signatures)
+                m.setattr(equivalence, "_silent_signatures", parent_silent_signatures)
+                old = _rounds(lts, kind, seed)
+            assert new == old, name
+            compared += 1
+    assert compared == 45 * 7
