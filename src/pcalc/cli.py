@@ -143,9 +143,11 @@ def _cmd_parse(args) -> int:
 
 
 def _load_lts(args):
-    """The bounded state graph of the one term in args.file."""
-    (term, _d), = _load_terms([args.file], None)
-    return build_lts(term, Bounds(args.max_states, args.max_depth))
+    """The bounded state graph of the one first-order term in args.file."""
+    terms = _load_terms([args.file], None)
+    if len(terms) != 1 or terms[0][1] != "ccsm":
+        raise ValueError(f"{args.command} takes one first-order term")
+    return build_lts(terms[0][0], Bounds(args.max_states, args.max_depth))
 
 
 def _cmd_lts(args) -> int:

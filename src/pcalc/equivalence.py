@@ -29,16 +29,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semantics
-from .semantics import Action, Bounds, Lts, SilentClosures, _move_order, _Parts, _parts_of, closures, union_lts
+from .semantics import Action, Bounds, Lts, SilentClosures, TruncatedInput, closures, union_lts
+from .semantics import _move_order, _Parts, _parts_of
 from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
 PAIR_KINDS = ("quasi-strong", "qs-branching")
 CCSM_KINDS = PARTITION_KINDS + PAIR_KINDS
-
-
-class TruncatedInput(ValueError):
-    pass
 
 
 class InvalidRequest(ValueError):
@@ -154,7 +151,7 @@ class Verdict:
     bound_report: Optional[dict] = None
     stats: dict = field(default_factory=dict)
 
-    def to_json(self, with_millis: bool = True) -> dict:
+    def to_json(self) -> dict:
         out = {"outcome": self.outcome, "kind": self.kind}
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
@@ -162,10 +159,7 @@ class Verdict:
             out["trace"] = self.trace.to_json()
         if self.bound_report is not None:
             out["bound"] = self.bound_report
-        stats = dict(self.stats)
-        if not with_millis:
-            stats.pop("millis", None)
-        out["stats"] = stats
+        out["stats"] = dict(self.stats)
         return out
 
 
@@ -672,7 +666,6 @@ class TauClassification:
 
     edge_labels: dict  # (src, dst) -> 'state-preserving' | 'state-changing'
     k: tuple
-    weak: Partition
 
     def to_json(self) -> dict:
         return {
@@ -684,27 +677,25 @@ class TauClassification:
         }
 
 
-def classify_tau(lts: Lts, weak: Partition = None) -> TauClassification:
+def classify_tau(lts: Lts) -> TauClassification:
+    """The classification of a complete graph, read off its weak partition."""
     if lts.truncated:
         raise TruncatedInput("tau classification needs a complete graph")
-    if weak is None:
-        weak = compute_partition(lts, "weak")
+    weak = compute_partition(lts, "weak")
     labels = {}
     for s, row in enumerate(lts.moves):
         for a, t in row:
             if not a:
                 labels[(s, t)] = "state-preserving" if weak.relates(s, t) else "state-changing"
     # a state is stable when all it reaches silently shares its weak block;
-    # an SCC is, when its members and its stable exits share one block
+    # an SCC's members share one, so an SCC is stable when its exits are
+    # stable and share its block
     block_of = weak.block_of
     sccs = lts.silent_sccs()
     stable_scc = []
     for c, scc in enumerate(sccs.members):
         own = block_of[scc[0]]
-        stable_scc.append(
-            all(block_of[u] == own for u in scc)
-            and all(stable_scc[d] and block_of[sccs.members[d][0]] == own for d in sccs.exits[c])
-        )
+        stable_scc.append(all(stable_scc[d] and block_of[sccs.members[d][0]] == own for d in sccs.exits[c]))
     n = lts.num_states()
     stable = [stable_scc[c] for c in sccs.of]
     # multi-source BFS over reversed tau edges from the stable states
@@ -725,7 +716,7 @@ def classify_tau(lts: Lts, weak: Partition = None) -> TauClassification:
                     k[s] = d
                     nxt.append(s)
         frontier = nxt
-    return TauClassification(labels, tuple(k), weak)
+    return TauClassification(labels, tuple(k))
 
 
 @dataclass

@@ -45,12 +45,17 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        pairs = tuple((parse(a), parse(b)) for a, b in data["pairs"])
-        return Certificate(
-            pairs,
-            discipline=data.get("discipline", "upto-context"),
-            closure_budget=int(data.get("budget", 256)),
-        )
+        """Reads a certificate file's JSON; ValueError unless it is an object
+        whose pairs is a list of [term, term] lists and whose budget, if any,
+        is an integer."""
+        pairs = data.get("pairs") if isinstance(data, dict) else None
+        if not (isinstance(pairs, list) and all(type(p) is list and list(map(type, p)) == [str, str] for p in pairs)):
+            raise ValueError("a certificate is an object whose pairs is a list of [term, term] lists")
+        budget = data.get("budget", 256)
+        if not isinstance(budget, (int, str)):
+            raise ValueError("a certificate's budget must be an integer")
+        pairs = tuple((parse(a), parse(b)) for a, b in pairs)
+        return Certificate(pairs, discipline=data.get("discipline", "upto-context"), closure_budget=int(budget))
 
     def to_json(self) -> dict:
         return {

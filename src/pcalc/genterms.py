@@ -153,4 +153,4 @@ def random_graph_lts(rng: random.Random, max_states: int = 50, names=("a", "b"))
         edges.add((s, a, t))
     edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
     states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
-    return Lts(states, edges, (0,), False, frozenset())
+    return Lts(states, edges, (0,), frozenset())

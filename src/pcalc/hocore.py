@@ -29,6 +29,7 @@ from .syntax import (
     canonical_par,
     canonicalize,
     free_vars,
+    fresh_name,
     is_closed,
     names,
     render,
@@ -105,7 +106,8 @@ def _subst(p: Term, x: str, a: Term) -> Term:
 #   !g f.P  =  'c<Q>.0 | Q      where Q = c(X).(f.('c<X>.0 | X | P))
 #
 # c is a replicator name, chosen fresh deterministically as the first of
-# c0, c1, ... not occurring in the subject term nor in the avoid set.
+# c0, c1, ... not occurring in the subject term nor in the avoid set, and X
+# the first of X, X0, X1, ... that no variable or binder there names.
 
 
 def _fresh_replicator(avoid) -> str:
@@ -117,36 +119,21 @@ def _fresh_replicator(avoid) -> str:
         i += 1
 
 
-def _fresh_var(terms) -> str:
-    used = set()
-    for t in terms:
-        for sub in subterms(t):
-            if isinstance(sub, Var):
-                used.add(sub.name)
-            elif isinstance(sub, HoInput):
-                used.add(sub.var)
-    if "X" not in used:
-        return "X"
-    i = 0
-    while f"X{i}" in used:
-        i += 1
-    return f"X{i}"
-
-
-def derived_replication(p: Term, guard: Optional[Term] = None, avoid=()) -> Term:
-    """Replication encoding of p; guard carries the prefix of the guarded form
-    (an input or output node whose own continuation is ignored)."""
+def derived_replication(p: Term) -> Term:
+    """Replication encoding of closed p."""
     if free_vars(p):
         raise OpenTermError(f"replication body must be closed: {render(p)}")
-    return _build_replication(p, guard, avoid)
+    return _build_replication(p, None, ())
 
 
 def _build_replication(p: Term, guard: Optional[Term], avoid) -> Term:
-    avoid = set(avoid) | names(p)
-    if guard is not None:
-        avoid |= names(guard)
-    c = _fresh_replicator(avoid)
-    x = _fresh_var((p, guard) if guard is not None else (p,))
+    """guard carries the prefix of the guarded form (an input or output node
+    whose own continuation is ignored)."""
+    terms = (p,) if guard is None else (p, guard)
+    c = _fresh_replicator(set(avoid).union(*map(names, terms)))
+    subs = [sub for t in terms for sub in subterms(t)]
+    taken = {t.name for t in subs if isinstance(t, Var)} | {t.var for t in subs if isinstance(t, HoInput)}
+    x = fresh_name("X", taken)
     inner = Par((HoOutput(c, Var(x), NIL), Var(x), p))
     if guard is None:
         body = inner
@@ -202,16 +189,15 @@ def expand_replications(term: Term) -> Term:
 
 @dataclass(frozen=True)
 class Context:
-    """A term with hole occurrences, encoded as free occurrences of hole."""
+    """A term with hole occurrences, encoded as free occurrences of X."""
 
     term: Term
-    hole: str = "X"
 
     def apply(self, a: Term) -> Term:
-        return ho_subst(self.term, self.hole, a)
+        return ho_subst(self.term, "X", a)
 
     def label(self) -> str:
-        return render(self.term, compact=True).replace(self.hole, "[.]")
+        return render(self.term, compact=True).replace("X", "[.]")
 
 
 @dataclass
@@ -231,12 +217,7 @@ class TestFamilies:
 
     @staticmethod
     def default(p: Term, q: Term, size_bound: int = 8) -> "TestFamilies":
-        used = names(p) | names(q)
-        m = "m"
-        i = 0
-        while m in used:
-            m = f"m{i}"
-            i += 1
+        m = fresh_name("m", names(p) | names(q))
         payloads = []
         seen = set()
         for t in (p, q):
@@ -352,7 +333,7 @@ class HoVerdict:
     final: tuple = ()  # (side, action) of the unanswered challenge
     stats: dict = field(default_factory=dict)
 
-    def to_json(self, with_millis: bool = True) -> dict:
+    def to_json(self) -> dict:
         out = {
             "outcome": self.outcome,
             "kind": f"context-{self.mode}",
@@ -369,10 +350,7 @@ class HoVerdict:
             }
         if self.families is not None:
             out["families_used"] = self.families.to_json()
-        stats = dict(self.stats)
-        if not with_millis:
-            stats.pop("millis", None)
-        out["stats"] = stats
+        out["stats"] = dict(self.stats)
         return out
 
 

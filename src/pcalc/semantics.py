@@ -43,8 +43,8 @@ DIV_NO = "no"
 DIV_UNKNOWN = "unknown"
 
 
-class SaturationOnTruncated(ValueError):
-    pass
+class TruncatedInput(ValueError):
+    """An analysis that needs a complete graph got a truncated one."""
 
 
 @dataclass(frozen=True)
@@ -284,9 +284,9 @@ class Lts:
     """A finite, possibly truncated transition graph over canonical terms.
 
     States are pairwise distinct canonical terms; frontier states are those
-    whose outgoing transitions were not expanded (nonempty only when
-    truncated). diverges holds one of 'yes'/'no'/'unknown' per state, computed
-    by the constructor.
+    whose outgoing transitions were not expanded, and the graph is truncated
+    when there are any. diverges holds one of 'yes'/'no'/'unknown' per state,
+    computed by the constructor.
 
     The moves are stored once, int-coded: `actions` numbers the actions in
     sort-key order, so tau is 0, and moves[s] holds s's (action id, target)
@@ -297,7 +297,7 @@ class Lts:
     (`equivalence.relation`).
     """
 
-    def __init__(self, states, edges, initials, truncated, frontier, actions=None):
+    def __init__(self, states, edges, initials, frontier, actions=None):
         if actions is None:
             actions = sorted({a for _s, a, _t in edges} | {TAU}, key=Action.sort_key)
             aid = {a: i for i, a in enumerate(actions)}
@@ -306,7 +306,7 @@ class Lts:
                 rows[s].append((aid[a], t))
             edges = [tuple(row) for row in rows]
         self.states, self.initials = states, initials
-        self.truncated, self.frontier = truncated, frontier
+        self.truncated, self.frontier = bool(frontier), frontier
         self.actions, self.moves = tuple(actions), edges
         self._succ = [None] * len(states)
         self.partitions = {}
@@ -394,31 +394,23 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
         initials.append(index[key])
     table = []  # per state: sorted (action id, target) pairs; () on the frontier
     frontier = set()
-    truncated = False
     pos = 0
     while pos < len(states):
-        if depth[pos] >= bounds.max_depth:
-            frontier.add(pos)
-            truncated = True
-            table.append(())
-            pos += 1
-            continue
-        moves = parts.moves(keys[pos])
+        within = depth[pos] < bounds.max_depth
+        moves = parts.moves(keys[pos]) if within else ()
         new_targets = {t for _a, t in moves if t not in index}
-        if len(states) + len(new_targets) > bounds.max_states:
-            frontier.add(pos)
-            truncated = True
+        if not within or len(states) + len(new_targets) > bounds.max_states:
+            frontier.add(pos)  # at the depth bound, or its successors would pass the state bound
             table.append(())
-            pos += 1
-            continue
-        for t in sorted(new_targets, key=_state_order):
-            index[t] = len(states)
-            states.append(parts.term(t))
-            keys.append(t)
-            depth.append(depth[pos] + 1)
-        table.append(tuple(sorted((a, index[t]) for a, t in moves)))
+        else:
+            for t in sorted(new_targets, key=_state_order):
+                index[t] = len(states)
+                states.append(parts.term(t))
+                keys.append(t)
+                depth.append(depth[pos] + 1)
+            table.append(tuple(sorted((a, index[t]) for a, t in moves)))
         pos += 1
-    return Lts(states, table, tuple(initials), truncated, frozenset(frontier), actions=parts.actions)
+    return Lts(states, table, tuple(initials), frozenset(frontier), actions=parts.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -634,5 +626,5 @@ def closures(lts: Lts) -> SilentClosures:
     """The silent closures of a complete graph's states, exact: no depth
     bound, and a cap no closure can reach."""
     if lts.truncated:
-        raise SaturationOnTruncated("closures need a complete graph")
+        raise TruncatedInput("closures need a complete graph")
     return SilentClosures(lts.succ, None, lts.num_states())

@@ -164,6 +164,16 @@ def names(p: Term) -> frozenset:
     return frozenset(out)
 
 
+def fresh_name(base: str, used) -> str:
+    """base when used lacks it, else the first of base0, base1, ... it lacks."""
+    i = 0
+    name = base
+    while name in used:
+        name = f"{base}{i}"
+        i += 1
+    return name
+
+
 def free_vars(p: Term) -> frozenset:
     fv = getattr(p, "_fv", None)
     if fv is not None:
@@ -695,21 +705,14 @@ class _Parser:
     @staticmethod
     def _ho_input(channel, cont):
         # "a.P" abbreviates an input with an unused binder.
-        fv = free_vars(cont)
-        var = "X"
-        i = 0
-        while var in fv:
-            var = f"X{i}"
-            i += 1
-        return HoInput(channel, var, cont)
+        return HoInput(channel, fresh_name("X", free_vars(cont)), cont)
 
 
-def parse(text: str, dialect: str = "ccsm", expand_replication: bool = True) -> Term:
+def parse(text: str, dialect: str = "ccsm") -> Term:
     """Parse text in the given dialect ('ccsm' or 'hoccsm').
 
-    In the hoccsm dialect, ! and !g are macros: by default they are expanded
-    into the derived-replication encoding; with expand_replication=False their
-    mere presence is an error. Open higher-order terms parse fine; callers
+    In the hoccsm dialect, ! and !g are macros, expanded into the
+    derived-replication encoding. Open higher-order terms parse fine; callers
     needing closed terms check is_closed.
     """
     if dialect not in ("ccsm", "hoccsm"):
@@ -720,10 +723,7 @@ def parse(text: str, dialect: str = "ccsm", expand_replication: bool = True) -> 
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
     if dialect == "hoccsm":
-        has_macro = any(isinstance(t, (Repl, GuardedRepl)) for t in subterms(term))
-        if has_macro:
-            if not expand_replication:
-                raise ParseError("replication in hoccsm requires macro expansion", 1, 1)
+        if any(isinstance(t, (Repl, GuardedRepl)) for t in subterms(term)):
             from . import hocore
 
             term = hocore.expand_replications(term)

@@ -270,7 +270,7 @@ def test_criterion_7_lemma_property_suite(corpus200, capsys):
         lts = union_lts(pair, Bounds(600, 128))
         assert not lts.truncated
         weak = compute_partition(lts, "weak")
-        tc = classify_tau(lts, weak)
+        tc = classify_tau(lts)
         n = lts.num_states()
 
         # (a) non-divergent states have only state-changing silent steps

@@ -188,6 +188,22 @@ def test_certify_command(tmp_path, capsys):
     assert run(["certify", "--relation", bad]) == 1
 
 
+@pytest.mark.parametrize("command", ["lts", "diverges", "tau-classify"])
+@pytest.mark.parametrize("text", ["a(X).X\n", "a.0\n---\n'a.0\n"], ids=["higher-order", "pair"])
+def test_graph_commands_take_one_first_order_term(tmp_path, capsys, command, text):
+    path = write(tmp_path, "t.proc", text)
+    assert run([command, path]) == 3
+    assert capsys.readouterr().err == f"error: {command} takes one first-order term\n"
+
+
+@pytest.mark.parametrize("blob", [{"budget": 16}, [1, 2], {"pairs": [["a.0"]]}, {"pairs": [["a.0", "a.0"]], "budget": []}])
+def test_certify_rejects_a_malformed_certificate(tmp_path, capsys, blob):
+    path = write(tmp_path, "cert.json", json.dumps(blob))
+    assert run(["certify", "--relation", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a certificate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_certify_rejects_a_budget_below_one(tmp_path, capsys, budget):
     cert = {"discipline": "upto-context", "budget": 64, "pairs": [["!(a | 'a)", "a | 'a | !(a | 'a)"]]}

@@ -28,7 +28,7 @@ def graph(n, labeled_edges, initials=(0,)):
         ((s, Action.from_label(lab), t) for s, lab, t in labeled_edges),
         key=lambda e: (e[0], e[1].sort_key(), e[2]),
     )
-    return Lts(states, edges, tuple(initials), False, frozenset())
+    return Lts(states, edges, tuple(initials), frozenset())
 
 
 def test_partition_rejects_truncated():
@@ -70,7 +70,7 @@ def test_a_graph_built_from_edges_carries_its_divergence_flags():
     # an empty list made every partition one empty block, and relates() fail.
     states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(3)]
     tau, a = Action.from_label("tau"), Action.from_label("a")
-    lts = Lts(states, [(0, tau, 1), (1, tau, 0), (2, a, 2)], (0,), False, frozenset())
+    lts = Lts(states, [(0, tau, 1), (1, tau, 0), (2, a, 2)], (0,), frozenset())
     assert lts.diverges == ["yes", "yes", "no"]
     for kind in CCSM_KINDS:
         part = relation(lts, kind)
@@ -189,7 +189,7 @@ WITNESSES = {
 def test_equivalent_verdict_json_is_pinned(kind):
     witness, iterations = WITNESSES[kind]
     verdict = decide(parse(WITNESS_PAIR[0]), parse(WITNESS_PAIR[1]), kind)
-    assert verdict.to_json(with_millis=False) == {
+    assert verdict.to_json() == {
         "outcome": "equivalent",
         "kind": kind,
         "witness": {"kind": kind, **witness},

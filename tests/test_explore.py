@@ -119,13 +119,11 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
         initials.append(index[c])
     edges = []
     frontier = set()
-    truncated = False
     pos = 0
     while pos < len(states):
         s = states[pos]
         if depth[pos] >= bounds.max_depth:
             frontier.add(pos)
-            truncated = True
             pos += 1
             continue
         moves = step(s)
@@ -137,7 +135,6 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
                 new_targets.append(t)
         if len(states) + len(new_targets) > bounds.max_states:
             frontier.add(pos)
-            truncated = True
             pos += 1
             continue
         for t in sorted(new_targets, key=term_key):
@@ -148,7 +145,7 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
             edges.append((pos, a, index[t]))
         pos += 1
     edges.sort(key=lambda e: (e[0], e[1].sort_key(), e[2]))
-    return Lts(states, edges, tuple(initials), truncated, frozenset(frontier))
+    return Lts(states, edges, tuple(initials), frozenset(frontier))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ BENCH_GRAPHS = (
 
 def from_edges(lts):
     """The same graph, built from its edge list."""
-    return Lts(lts.states, lts.edges, lts.initials, lts.truncated, lts.frontier)
+    return Lts(lts.states, lts.edges, lts.initials, lts.frontier)
 
 
 def assert_same_views(coded, listed):
@@ -322,7 +319,7 @@ def test_explored_and_edge_list_graphs_agree():
         assert_same_views(lts, from_edges(lts))
     for _ in range(40):
         listed = random_graph_lts(rng, max_states=rng.choice((8, 30)))
-        coded = Lts(listed.states, listed.moves, listed.initials, False, frozenset(), actions=listed.actions)
+        coded = Lts(listed.states, listed.moves, listed.initials, frozenset(), actions=listed.actions)
         assert_same_views(coded, listed)
 
 

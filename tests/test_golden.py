@@ -36,4 +36,4 @@ def test_weak_context_game_on_replication_unfolding_matches_pin(name, body, tau_
     unfolded = canonicalize(Par((bang, term)))
     verdict = context_game(bang, unfolded, "weak", 4, tau_bound=tau_bound)
     assert verdict.outcome == PINNED[name]["outcome"] == "inequivalent"
-    assert verdict.to_json(with_millis=False) == PINNED[name]
+    assert verdict.to_json() == PINNED[name]

@@ -9,8 +9,8 @@ from pcalc.genterms import random_ccsm, rng_from_env
 from pcalc.semantics import (
     TAU,
     Bounds,
-    SaturationOnTruncated,
     SilentClosures,
+    TruncatedInput,
     build_lts,
     closures,
     diverges,
@@ -169,7 +169,7 @@ def test_diverges_unknown_state():
 
 def test_closures_refuse_truncated():
     lts = build_lts(parse("!c.d | !'c | d"), Bounds(8, 3))
-    with pytest.raises(SaturationOnTruncated):
+    with pytest.raises(TruncatedInput):
         closures(lts)
 
 

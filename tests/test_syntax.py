@@ -89,11 +89,6 @@ def test_open_terms_accepted_and_flagged():
     assert free_vars(p) == {"X"}
 
 
-def test_ho_replication_needs_expansion():
-    with pytest.raises(ParseError):
-        parse("!('a<0>.0)", dialect="hoccsm", expand_replication=False)
-
-
 def test_infer_dialect():
     assert infer_dialect("a.0 | !b") == "ccsm"
     assert infer_dialect("a(X).X") == "hoccsm"
