@@ -189,7 +189,7 @@ def _cmd_check(args) -> int:
                 contexts = tuple(Context(t) for t in _parse_family(args.contexts_family))
             else:
                 contexts = base.contexts
-            fam = TestFamilies(tuple(inputs), contexts, base.size_bound)
+            fam = TestFamilies(tuple(inputs), contexts)
         verdict = context_game(p, q, kind.split("-", 1)[1], args.game_depth, fam, args.tau_bound)
         payload = verdict.to_json()
         payload["stats"]["millis"] = int((time.perf_counter() - started) * 1000)
@@ -257,6 +257,8 @@ def _cmd_certify(args) -> int:
 
 
 def _probe_replfree(count: int) -> int:
+    if count < 1:
+        raise ValueError(f"--probe-replfree needs at least one term; got {count}")
     rng = genterms.rng_from_env(offset=7)
     terms = []
     while len(terms) < count:
@@ -284,7 +286,7 @@ def _probe_replfree(count: int) -> int:
 
 
 def _cmd_examples(args) -> int:
-    if args.probe_replfree:
+    if args.probe_replfree is not None:
         return _probe_replfree(args.probe_replfree)
     if args.list or not (args.run or args.run_all):
         for name in corpus.entry_names():

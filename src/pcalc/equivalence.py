@@ -77,6 +77,17 @@ class Partition:
                 y = parent[y]
         return rounds[x]
 
+    def round_block_of(self, k: int) -> list:
+        """The partition after round k, numbered by first member as `_refine`
+        numbers rounds: per state, its final block's latest ancestor up to k."""
+        parent, rounds, leaf = self.splits
+        node = []
+        for x in leaf:
+            while rounds[x] > k:
+                x = parent[x]
+            node.append(x)
+        return _index_groups(node[b] for b in self.block_of)
+
     @property
     def blocks(self):
         groups = {}
@@ -188,10 +199,9 @@ def compute_partition(lts: Lts, kind: str) -> Partition:
     return part
 
 
-def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
+def _refine(lts: Lts, kind: str, block_of) -> Partition:
     """Splits the blocks of block_of by kind signatures until a round splits
-    none. `history`, when given, receives each partition a round changed.
-    A signature is a frozenset of move codes (strong, branching) or bitmasks
+    none. A signature is a frozenset of move codes (strong, branching) or bitmasks
     over them (weak, the quasi-strong kinds); see `_silent_signatures`.
 
     A state alone in its block can never split again, so a round signs only
@@ -202,7 +212,8 @@ def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
     the confirming round: it counts, and computes nothing.
 
     The partition's `splits` records which round split which block, in
-    O(blocks) per round: each new block's key starts with its old block.
+    O(blocks) per round: each new block's key starts with its old block. It
+    is the one record of the rounds (see `Partition.round_block_of`).
     """
     signatures = _strong_signatures(lts) if kind == "strong" else _silent_signatures(lts, kind)
     roots = max(block_of, default=-1) + 1
@@ -228,8 +239,6 @@ def _refine(lts: Lts, kind: str, block_of, history: list = None) -> Partition:
         if max(new_block_of, default=-1) == max(block_of, default=-1):
             return Partition(kind, tuple(new_block_of), iterations, (parent, rounds, node))
         block_of = new_block_of
-        if history is not None:
-            history.append(block_of)
 
 
 def _next_round(block_of, signatures):
@@ -486,7 +495,8 @@ class _RankSearch:
     are coroutines on an explicit stack, clear of the recursion limit.
 
     A pair's lower bound starts at the round in which the kind's refinement
-    from the divergence split first separates it (`rounds`). A pair of rank
+    from the divergence split first separates it (`rounds`); inf when it
+    never does, as the kind relates it (see `compute_partition`). A pair of rank
     k has a challenge each of whose answers holds a continuation of rank
     below k, which round k - 1 already separates, so round k separates the
     pair. Round 0 separates exactly the pairs whose divergence flags differ,
@@ -495,8 +505,8 @@ class _RankSearch:
     in round 1, so the weak search still bounds n^2 pairs in about n^3 time.
     """
 
-    def __init__(self, lts: Lts, kind: str, relates):
-        self.lts, self.kind, self.relates = lts, kind, relates
+    def __init__(self, lts: Lts, kind: str):
+        self.lts, self.kind = lts, kind
         self.cls = closures(lts)
         self.rounds = compute_partition(lts, kind)
         self.lo, self.hi = {}, {}
@@ -522,13 +532,9 @@ class _RankSearch:
     def _known(self, pair, k):
         """Whether the bounds settle rank(pair) <= k; None if they do not."""
         if pair not in self.lo:
-            l, r = pair
-            if self.relates(l, r):
-                self.lo[pair] = math.inf
-            else:
-                self.lo[pair] = self.rounds.separation_round(l, r)
-                if not self.lo[pair]:
-                    self.hi[pair] = 0
+            self.lo[pair] = self.rounds.separation_round(*pair)
+            if not self.lo[pair]:
+                self.hi[pair] = 0
         if k < self.lo[pair]:
             return False
         return True if self.hi.get(pair, math.inf) <= k else None
@@ -587,8 +593,10 @@ class _RankSearch:
         raise InvalidRequest("refutation rank search did not converge")
 
 
-def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
-    """Minimal attacker trace refuting the start pair; raises if it survives.
+def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
+    """Minimal attacker trace refuting the start pair of a complete graph.
+    Raises InvalidRequest if the kind relates the pair, and TruncatedInput on
+    a truncated graph.
 
     Ranks are decided on demand (see `_RankSearch`), only for pairs the trace
     needs. From a pair of rank b the attacker plays the first challenge, in
@@ -605,9 +613,9 @@ def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
     the bound.
     """
     start = tuple(start)
-    if relates(*start):
+    game = _RankSearch(lts, kind)
+    if game.rounds.relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
-    game = _RankSearch(lts, kind, relates)
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
@@ -637,22 +645,16 @@ def extract_trace(lts: Lts, kind: str, start, relates) -> AttackerTrace:
 
 
 def check_pair(lts: Lts, s: int, t: int, kind: str) -> Verdict:
-    """Decide a pair under quasi-strong or qs-branching bisimilarity."""
-    if kind not in PAIR_KINDS:
-        raise ValueError(f"check_pair handles {PAIR_KINDS}, not {kind!r}")
-    if lts.truncated:
-        raise TruncatedInput("check_pair needs a complete graph")
-    return _verdict(lts, s, t, relation(lts, kind))
-
-
-def _verdict(lts: Lts, s: int, t: int, rel) -> Verdict:
-    """A pair's verdict from its kind's relation: it as witness, or a minimal attacker trace."""
+    """Decides a pair of a complete graph under any of the five kinds: the
+    kind's relation as witness, or a minimal attacker trace. Raises
+    TruncatedInput on a truncated graph."""
+    rel = relation(lts, kind)
     stats = {"states": lts.num_states(), "iterations": rel.iterations}
     if rel.relates(s, t):
-        return Verdict("equivalent", rel.kind, witness=rel, stats=stats)
-    trace = extract_trace(lts, rel.kind, (s, t), rel.relates)
+        return Verdict("equivalent", kind, witness=rel, stats=stats)
+    trace = extract_trace(lts, kind, (s, t))
     stats["rank_pairs"] = trace.rank_pairs
-    return Verdict("inequivalent", rel.kind, trace=trace, stats=stats)
+    return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 
 @dataclass
@@ -984,7 +986,7 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     s, t = lts.initials[0], lts.initials[-1]
     stats = {"states": lts.num_states()}
     if not lts.truncated:
-        return _verdict(lts, s, t, relation(lts, kind))
+        return check_pair(lts, s, t, kind)
     # truncated: sound refutations only
     div_l, div_r = lts.diverges[s], lts.diverges[t]
     if {div_l, div_r} == {semantics.DIV_YES, semantics.DIV_NO}:

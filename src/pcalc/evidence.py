@@ -10,6 +10,7 @@ sound equivalence proof even for infinite-state terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
-from .equivalence import AttackerTrace, InvalidRequest, compute_partition, extract_trace, relation
+from .equivalence import AttackerTrace, compute_partition, extract_trace
 from .semantics import Action, Bounds, Lts, SilentClosures, build_lts, components, step, union_lts
 from .syntax import Term, canonical_par, canonicalize, parse, render, term_key
 
@@ -309,29 +310,23 @@ def satisfies(lts: Lts, s: int, f) -> bool:
 
 def distinguishing_formula(lts: Lts, s: int, t: int):
     """Formula true at s and false at t, from divergence-blind strong
-    refinement rounds; None when only divergence separates the states."""
-    history = [[0] * lts.num_states()]
-    equivalence._refine(lts, "strong", history[0], history)
-    if history[-1][s] == history[-1][t]:
+    refinement rounds, read off its split forest (`round_block_of`); None
+    when only divergence separates the states."""
+    part = equivalence._refine(lts, "strong", [0] * lts.num_states())
+    if part.relates(s, t):
         return None
-
-    def rank(u, v):
-        for i, blk in enumerate(history):
-            if blk[u] != blk[v]:
-                return i
-        raise AssertionError("states not separated")
+    round_block_of = functools.lru_cache(maxsize=None)(part.round_block_of)
 
     def build(u, v):
-        r = rank(u, v)
-        blk = history[r - 1]
+        if part.relates(u, v):
+            raise AssertionError("states not separated")
+        blk = round_block_of(part.separation_round(u, v) - 1)
         su = {(a, blk[x]) for a, x in lts.succ(u)}
         sv = {(a, blk[x]) for a, x in lts.succ(v)}
         only_u = sorted(su - sv, key=lambda o: (o[0].sort_key(), o[1]))
         if only_u:
             action, target_blk = only_u[0]
-            u2 = min(
-                (x for a, x in lts.succ(u) if a == action and blk[x] == target_blk),
-            )
+            u2 = min(x for a, x in lts.succ(u) if a == action and blk[x] == target_blk)
             subs = tuple(build(u2, v2) for a, v2 in lts.succ(v) if a == action)
             return DiamondF(action, AndF(subs) if subs else TrueF())
         return NotF(build(v, u))
@@ -356,14 +351,9 @@ class Evidence:
 
 
 def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
-    """Minimal attacker trace for an inequivalent pair; for the strong kind a
-    modal distinguishing formula is synthesized too when one exists."""
-    if lts.truncated:
-        raise equivalence.TruncatedInput("evidence extraction needs a complete graph")
-    rel = relation(lts, kind)
-    if rel.relates(s, t):
-        raise InvalidRequest("states are equivalent under this kind")
-    trace = extract_trace(lts, kind, (s, t), rel.relates)
+    """The replayed `extract_trace` of a pair, which raises as it does; for
+    the strong kind a checked modal distinguishing formula too, if one exists."""
+    trace = extract_trace(lts, kind, (s, t))
     replay_trace(trace, tau_bound=lts.num_states())
     formula = distinguishing_formula(lts, s, t) if kind == "strong" else None
     if formula is not None:

@@ -197,7 +197,7 @@ class Context:
         return ho_subst(self.term, "X", a)
 
     def label(self) -> str:
-        return render(self.term, compact=True).replace("X", "[.]")
+        return render(_subst(self.term, "X", Var("[.]")), compact=True)
 
 
 @dataclass
@@ -213,10 +213,9 @@ class TestFamilies:
 
     inputs: tuple
     contexts: tuple
-    size_bound: int = 8
 
     @staticmethod
-    def default(p: Term, q: Term, size_bound: int = 8) -> "TestFamilies":
+    def default(p: Term, q: Term) -> "TestFamilies":
         m = fresh_name("m", names(p) | names(q))
         payloads = []
         seen = set()
@@ -239,13 +238,12 @@ class TestFamilies:
             Context(Par((HoInput(m, "Y", NIL), hole))),
             Context(Par((hole, hole))),
         )
-        return TestFamilies(tuple(dict.fromkeys(inputs)), contexts, size_bound)
+        return TestFamilies(tuple(dict.fromkeys(inputs)), contexts)
 
     def to_json(self) -> dict:
         return {
             "inputs": [render(t, compact=True) for t in self.inputs],
             "contexts": [c.label() for c in self.contexts],
-            "size_bound": self.size_bound,
         }
 
 

@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import json
+import pathlib
+import re
 
 import pytest
 
-from pcalc.cli import run
+from pcalc.cli import build_parser, run
 
 
 def write(tmp_path, name, text):
@@ -237,6 +240,29 @@ def test_probe_replfree(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["probed"] == 20
     assert "strong_equals_weak_everywhere" in blob
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_probe_replfree_rejects_a_count_below_one(capsys, count):
+    # no term probed backs no claim about every term
+    assert run(["paper-examples", f"--probe-replfree={count}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_synopsis_names_every_option():
+    readme = pathlib.Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    named = {}  # command -> the long options its synopsis lines name
+    for line in block.splitlines():
+        if line.startswith("pcalc "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(named) == set(commands.choices)
+    for command, parser in commands.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        assert options <= named[command], (command, sorted(options - named[command]))
 
 
 def test_internal_errors_exit_4_not_a_verdict(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 from oracles import naive_relation
 from pcalc.equivalence import (
     CCSM_KINDS,
-    PAIR_KINDS,
     PARTITION_KINDS,
     CoincidenceReport,
     TruncatedInput,
@@ -79,9 +78,17 @@ def test_a_graph_built_from_edges_carries_its_divergence_flags():
 
 def test_check_pair_reflexive():
     lts = build_lts(parse("a.b | 'a"), Bounds(50, 50))
-    for kind in PAIR_KINDS:
+    for kind in CCSM_KINDS:
         verdict = check_pair(lts, 0, 0, kind)
         assert verdict.outcome == "equivalent"
+
+
+@pytest.mark.parametrize("kind", CCSM_KINDS)
+def test_check_pair_is_the_verdict_decide_gives(kind):
+    # weakly and branching bisimilar, but not quasi-strong: both outcomes
+    p, q = parse("a.'d | !a | !'a | !d"), parse("'d | !a | !'a | !d")
+    lts = union_lts([p, q])
+    assert check_pair(lts, lts.initials[0], lts.initials[-1], kind).to_json() == decide(p, q, kind).to_json()
 
 
 def test_check_pair_delay_matching_with_state_preserving_lead():

@@ -2,8 +2,10 @@ import json
 from dataclasses import replace
 
 import pytest
+from test_refinement import W1, W1_TAU, W4_FAMILY, _random_graphs, old_strong_history
 
-from pcalc.equivalence import CCSM_KINDS, InvalidRequest, TraceStep, bounded_game, decide
+from pcalc import equivalence
+from pcalc.equivalence import CCSM_KINDS, InvalidRequest, TraceStep, TruncatedInput, bounded_game, decide
 from pcalc.evidence import (
     AndF,
     Certificate,
@@ -162,6 +164,85 @@ def test_formula_only_divergence_separates():
     assert distinguishing_formula(lts, s, t) is not None
     lts2 = build_lts(parse("!a | !'a"), Bounds(16, 16))
     assert distinguishing_formula(lts2, 0, 0) is None
+
+
+def old_distinguishing_formula(lts, history, s, t):
+    """The formula builder as it read the strong rounds from a list of every
+    round's partition, `history` being `old_strong_history(lts)`."""
+    if history[-1][s] == history[-1][t]:
+        return None
+
+    def rank(u, v):
+        for i, blk in enumerate(history):
+            if blk[u] != blk[v]:
+                return i
+        raise AssertionError("states not separated")
+
+    def build(u, v):
+        r = rank(u, v)
+        blk = history[r - 1]
+        su = {(a, blk[x]) for a, x in lts.succ(u)}
+        sv = {(a, blk[x]) for a, x in lts.succ(v)}
+        only_u = sorted(su - sv, key=lambda o: (o[0].sort_key(), o[1]))
+        if only_u:
+            action, target_blk = only_u[0]
+            u2 = min(x for a, x in lts.succ(u) if a == action and blk[x] == target_blk)
+            subs = tuple(build(u2, v2) for a, v2 in lts.succ(v) if a == action)
+            return DiamondF(action, AndF(subs) if subs else TrueF())
+        return NotF(build(v, u))
+
+    return build(s, t)
+
+
+def test_formulas_match_the_history_builder(monkeypatch):
+    # One refinement per graph serves every pair of it: `_refine` is a pure
+    # function of the graph here, as every formula seeds it with one block.
+    real, memo = equivalence._refine, {}
+
+    def refine_once(lts, kind, seed):
+        if id(lts) not in memo:
+            memo[id(lts)] = real(lts, kind, seed)
+        return memo[id(lts)]
+
+    monkeypatch.setattr(equivalence, "_refine", refine_once)
+    w4 = build_lts(parse(W4_FAMILY))
+    # every ordered pair of 40 random graphs; on the 322-state W4 family
+    # graph, whose pairs take about 1 ms each in each builder, 6 rows of 322
+    graphs = [(lts, range(lts.num_states())) for lts in _random_graphs()[::3]]
+    graphs.append((w4, range(0, w4.num_states(), 54)))
+    compared = separated = 0
+    for lts, rows in graphs:
+        history = old_strong_history(lts)
+        for s in rows:
+            for t in range(lts.num_states()):
+                new = distinguishing_formula(lts, s, t)
+                old = old_distinguishing_formula(lts, history, s, t)
+                assert (new and formula_str(new)) == (old and formula_str(old)), (s, t)
+                compared += 1
+                separated += new is not None
+    assert compared == 13000 and separated == 12094
+
+
+@pytest.mark.parametrize(
+    "p, q, text",
+    [
+        (W1, W1_TAU, "<b>tt"),
+        ("a.(b | c)", "a.b.c | a.c.b", "<a>(<b>tt & <c>tt)"),
+        ("a | a.b", "a.b | a.b", "<a>(~<b>tt)"),
+    ],
+    ids=["W1", "diamonds", "negation"],
+)
+def test_formula_texts_are_pinned(p, q, text):
+    lts = union_lts([parse(p), parse(q)])
+    assert formula_str(distinguishing_formula(lts, lts.initials[0], lts.initials[-1])) == text
+
+
+@pytest.mark.parametrize("kind", CCSM_KINDS)
+def test_distinguishing_evidence_needs_a_complete_graph(kind):
+    lts = union_lts([parse(W1), parse(W1_TAU)], Bounds(50, 64))
+    assert lts.truncated
+    with pytest.raises(TruncatedInput):
+        distinguishing_evidence(lts, lts.initials[0], lts.initials[-1], kind)
 
 
 def test_formula_satisfaction_basics():

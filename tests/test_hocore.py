@@ -209,6 +209,19 @@ def test_context_game_right_side_attacks_are_defended_weakly():
         ), f"no copycat answer for {action.label()}"
 
 
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        ("X | a(X1).X1", "[.] | a(X1).X1"),
+        ("X | aX", "[.] | aX"),
+        ("X | a(X).X", "[.] | a(X).X"),
+    ],
+)
+def test_context_label_marks_only_the_free_hole(text, label):
+    # a bound X, a variable named X1 and a channel named aX are no hole
+    assert Context(hparse(text)).label() == label
+
+
 def test_enlarging_families_preserves_refutation():
     body = hparse("'d<0>.0")
     bang = canonicalize(derived_replication(body))
@@ -217,7 +230,6 @@ def test_enlarging_families_preserves_refutation():
     bigger = TestFamilies(
         base.inputs + (canonicalize(hparse("k(Z).Z")),),
         base.contexts + (Context(Par((Var("X"), hparse("'n<0>.0")))),),
-        base.size_bound,
     )
     for fam in (base, bigger):
         assert context_game(bang, unfolded, "strong", 4, fam).outcome == "inequivalent"

@@ -396,11 +396,11 @@ def generator_extract_trace(lts: Lts, kind: str, start, relates, lower=None) -> 
 
 
 def _same_search(lts, kind, start, relates) -> AttackerTrace:
-    """extract_trace, checked against the generator search: the same trace
-    as the search from lower bound 1, and the same `rank_pairs` as the search
-    from the separation rounds (AttackerTrace equality and to_json() leave
-    rank_pairs out)."""
-    new = extract_trace(lts, kind, start, relates)
+    """extract_trace, checked against the generator search given relates,
+    the kind's relation: the same trace as the search from lower bound 1, and
+    the same `rank_pairs` as the search from the separation rounds
+    (AttackerTrace equality and to_json() leave rank_pairs out)."""
+    new = extract_trace(lts, kind, start)
     assert new.to_json() == generator_extract_trace(lts, kind, start, relates).to_json(), (kind, start)
     lower = compute_partition(lts, kind).separation_round
     assert new.rank_pairs == generator_extract_trace(lts, kind, start, relates, lower).rank_pairs, (kind, start)

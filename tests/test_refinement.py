@@ -289,6 +289,12 @@ def _random_graphs():
     return graphs
 
 
+def _round_partitions(part):
+    """The partition after each round that changed one, and the seed's, read
+    back from the split forest."""
+    return [part.round_block_of(k) for k in range(part.iterations)]
+
+
 def _assert_matches_reference(lts):
     assert lts.diverges == old_divergence_flags(lts)
     parts = {}
@@ -301,9 +307,8 @@ def _assert_matches_reference(lts):
         assert (part.block_of, part.iterations) == old_pair_partition(lts, kind, parts[base].block_of), kind
     tc = classify_tau(lts)
     assert (tc.edge_labels, tc.k) == old_classify_tau(lts, parts["weak"].block_of)
-    history = [[0] * lts.num_states()]
-    _refine(lts, "strong", history[0], history)
-    assert history == old_strong_history(lts)
+    blind = _refine(lts, "strong", [0] * lts.num_states())
+    assert _round_partitions(blind) == old_strong_history(lts)
 
 
 def test_refinement_matches_reference_on_random_graphs():
@@ -404,10 +409,8 @@ def _live_per_round(lts, kind):
         seed = equivalence._index_groups(zip(base, lts.diverges))
     else:
         seed = equivalence._index_groups([(d,) for d in lts.diverges])
-    rounds = [seed]
-    _refine(lts, kind, seed, rounds)
     out = []
-    for block_of in rounds:
+    for block_of in _round_partitions(_refine(lts, kind, seed)):
         sizes = Counter(block_of)
         out.append(sum(sizes[b] > 1 for b in block_of))
     return out
@@ -656,9 +659,20 @@ def _bench_graphs():
 
 
 def _rounds(lts, kind, seed):
-    """Every partition of kind's refinement from seed, its rounds and its split record."""
-    history = [list(seed)]
-    part = _refine(lts, kind, list(seed), history)
+    """Every partition of kind's refinement from seed, as its rounds made
+    them, which the split forest must give back; its rounds; its split record."""
+    made, real = [list(seed)], equivalence._next_round
+
+    def recording(block_of, signatures):
+        out = real(block_of, signatures)
+        made.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equivalence, "_next_round", recording)
+        part = _refine(lts, kind, list(seed))
+    history = made[: part.iterations]  # the seed, and each round that split a block
+    assert _round_partitions(part) == history
     return history, part.block_of, part.iterations, part.splits
 
 
