@@ -1,10 +1,11 @@
 """Behavioral equivalence checkers over complete graphs, plus bounded
 on-the-fly games for graphs that cannot be fully explored. Each kind's
 transfer clause is written once (`_respond`), over the lazy silent closures of
-`semantics`, and answers challenges over graph states (trace extraction) and
-over the sorted part-id tuples that exploration uses (the first-order bounded
-game and trace replay) alike. One attacker search serves the first-order game
-and the higher-order context game (`hocore`), which plays over terms.
+`semantics` and int codes: action ids, tau 0, and states that are graph states
+(trace extraction) or the ids the first-order bounded game (and trace replay)
+gives the sorted part-id tuples that exploration uses. One attacker search
+serves the first-order game and the higher-order context game (`hocore`),
+which plays over terms.
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -26,11 +27,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from . import semantics
 from .semantics import Action, Bounds, Lts, SilentClosures, TruncatedInput, closures, union_lts
-from .semantics import _move_order, _Parts, _parts_of
+from .semantics import _move_order, _Parts, _parts_of, _state_order
 from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
@@ -429,7 +431,7 @@ def relation(lts: Lts, kind: str) -> Partition:
 # ---------------------------------------------------------------------------
 # Refutation: ranked attacker game and trace extraction
 #
-# A challenge is an attacker move (side, action, derivative, challenger,
+# A challenge is an attacker move (side, action id, derivative, challenger,
 # defender). A defender answer is a tuple of continuation pairs; the attacker
 # then picks one of them. This uniformly covers the intermediate-state
 # condition of the branching styles, whose answers expose both
@@ -439,15 +441,15 @@ def relation(lts: Lts, kind: str) -> Partition:
 def _challenges(lts: Lts, pair):
     l, r = pair
     for side, chal, defn in (("left", l, r), ("right", r, l)):
-        for action, deriv in lts.succ(chal):
+        for action, deriv in lts.moves[chal]:
             yield side, action, deriv, chal, defn
 
 
-def _respond(kind: str, closures: SilentClosures, defn, action: Action):
+def _respond(kind: str, closures: SilentClosures, defn: int, action: int):
     """The transfer clause of each kind: defn's responses to a challenge by
     action, whichever side challenged, and whether a silent closure they read
-    was cut short. States are terms or graph states, stepped by
-    `closures.step`.
+    was cut short. States are graph states or game state ids and actions are
+    action ids, tau 0, stepped by `closures.step`.
 
     A response is a (mid, target) pair. Mid None stands for the answer with
     the single continuation (derivative, target); otherwise for the
@@ -456,9 +458,9 @@ def _respond(kind: str, closures: SilentClosures, defn, action: Action):
     """
     step = closures.step
     # the quasi-strong styles match a silent move with exactly one silent step
-    if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
+    if kind == "strong" or (not action and kind in PAIR_KINDS):
         return tuple((None, t) for a, t in step(defn) if a == action), False
-    if kind == "weak" and not action.is_tau:
+    if kind == "weak" and action:
         moves, complete = closures.weak_moves(defn, lambda a: a == action)
         return tuple((None, t) for _a, t in moves), not complete
     pres, complete = closures[defn].states()
@@ -468,7 +470,7 @@ def _respond(kind: str, closures: SilentClosures, defn, action: Action):
         targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
         out = tuple((None, t) for t in targets)
     elif kind in ("branching", "qs-branching"):
-        out = ((None, defn),) if action.is_tau else ()
+        out = ((None, defn),) if not action else ()
         out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -547,7 +549,7 @@ class _RankSearch:
         l, r = pair
         # the challenges of `_challenges`, in its order
         for left, chal, defn in ((True, l, r), (False, r, l)):
-            for action, deriv in self.lts.succ(chal):
+            for action, deriv in self.lts.moves[chal]:
                 for mid, t in responses(defn, action):
                     if mid is None:
                         conts = ((deriv, t),) if left else ((t, deriv),)
@@ -605,7 +607,9 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
     such continuation has the highest rank, and the attacker follows the
     lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
     the pairs the search bounded. Answers come from `_respond` over the
-    graph's silent closures; the strong style reads none of them.
+    graph's silent closures; the strong style reads none of them. The search
+    reads action ids, numbered in sort-key order, and the trace maps them to
+    `lts.actions`.
 
     The search starts each pair's bound at the round that separates it in
     the kind's refinement from the divergence split, the memoised
@@ -616,15 +620,16 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
     game = _RankSearch(lts, kind)
     if game.rounds.relates(*start):
         raise InvalidRequest("pair is equivalent; nothing to refute")
+    acts = lts.actions
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
-        for ch in sorted(_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
+        for ch in sorted(_challenges(lts, pair), key=itemgetter(1, 0, 2)):
             answers = tuple(game.answers(ch))
             if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
                 break
         if not answers:
-            reason, final = "no-match", ch[:2]
+            reason, final = "no-match", (ch[0], acts[ch[1]])
             break
 
         # the defender plays the (first) answer that survives longest; the
@@ -635,7 +640,7 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
         best_ans = max(answers, key=lambda ans: ranked(ans)[0][0])
         nxt = ranked(best_ans)[0][1]
         rolled = len(best_ans) > 1 and nxt == best_ans[0]
-        steps.append(TraceStep(ch[0], ch[1], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
+        steps.append(TraceStep(ch[0], acts[ch[1]], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
         pair, bound = nxt, game.rank(nxt)
     return AttackerTrace(kind, tuple(lts.states[i] for i in start), tuple(steps), reason, *final, rank_pairs=len(game.lo))
 
@@ -799,22 +804,25 @@ def _only_in(left: Partition, right: Partition) -> list:
 
 
 class _Game:
-    """Depth-bounded attacker search over any hashable states, for any
-    calculus: part-id tuples in the first-order game, terms in the
-    higher-order context game.
+    """Depth-bounded attacker search over any hashable states and actions,
+    for any calculus: int ids in the first-order game, terms and `HoAction`s
+    in the higher-order context game.
 
     A subclass supplies the moves: `step(p)`, p's (action, derivative) moves
     in (action, derivative) order; `respond(defn, action)`, the defender's
     responses to an action, whichever side challenged, and whether a silent
-    closure they read was cut short; and `answer(response, chal, action,
-    deriv)`, the continuations a response offers to chal -action-> deriv, as
-    ((challenger, defender), label) pairs in the order the attacker tries them.
-    Responses are memoised per (defender, action), challenges per position,
-    and `safe` across deepening budgets. Positions are oriented (left, right).
+    closure they read was cut short; `answer(response, chal, action, deriv)`,
+    the continuations a response offers to chal -action-> deriv, as
+    ((challenger, defender), label) pairs in the order the attacker tries them;
+    and `challenge_order`, the sort key of a challenge (side, action,
+    derivative) by action, then side. Its silent closures take the silent
+    action and the state order it passes. Responses are memoised per
+    (defender, action), challenges per position, and `safe` across deepening
+    budgets. Positions are oriented (left, right).
     """
 
-    def __init__(self, tau_bound, cap):
-        self.closures = SilentClosures(self.step, tau_bound, cap)
+    def __init__(self, tau_bound, cap, silent, order):
+        self.closures = SilentClosures(self.step, tau_bound, cap, silent, order)
         self.safe = {}  # position -> a budget within which it has no refutation
         self._responses = {}
         self._challenges = {}
@@ -835,7 +843,7 @@ class _Game:
         if out is None:
             # step lists moves in (action, derivative) order; the sort is stable
             out = [("left", a, d) for a, d in self.step(l)] + [("right", a, d) for a, d in self.step(r)]
-            out.sort(key=lambda ch: (ch[1].sort_key(), ch[0]))
+            out.sort(key=self.challenge_order)
             self._challenges[(l, r)] = out
         return out
 
@@ -908,32 +916,49 @@ class _Game:
 class _OnTheFly(_Game):
     """The first-order game between two roots, over the states `union_lts`
     explores: one closed `semantics._Parts` numbers every part the roots
-    reach, and a position is a pair of sorted part-id tuples. Moves are
+    reach, a state is a sorted part-id tuple, and the game numbers each
+    state on first sight and plays over those ids. A position is a pair of
+    ids and an action is a `parts.actions` id, tau 0. Moves are
     `_Parts.moves` in term order, memoised per game, and the transfer
     clauses `_respond` and `_answer` read through the one lazy silent-closure
     helper, `semantics.SilentClosures`, which trace extraction uses over
-    graph states. `parts.term` turns a state back into its term."""
+    graph states. `term` turns an id back into its term."""
 
     answer = staticmethod(_answer)
+    challenge_order = staticmethod(itemgetter(1, 0))  # action ids follow sort-key order
 
     def __init__(self, kind, tau_bound, roots):
         self.parts = parts = _Parts([q for r in roots for q in _parts_of(canonicalize(r))], closed=True)
-        # a closure over parts, not a method, so that the silent closures
-        # holding it keep no reference to the game: a finished game's `safe`,
-        # response and challenge tables are freed at once, not by the cyclic
-        # collector
+        ids, tuples = {}, []  # each state's id, and each id's state
+
+        def intern(t):
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(tuples)
+                tuples.append(t)
+            return i
+
+        # closures over the table, not methods, so that the memo and the
+        # silent closures holding them keep no reference to the game: a
+        # finished game's `safe`, response and challenge tables are freed at
+        # once, not by the cyclic collector
+        self._intern, self._tuples = intern, tuples
         self.step = functools.lru_cache(maxsize=None)(
-            lambda state: tuple((parts.actions[a], t) for a, t in sorted(parts.moves(state), key=_move_order))
+            lambda i: tuple((a, intern(t)) for a, t in sorted(parts.moves(tuples[i]), key=_move_order))
         )
-        super().__init__(tau_bound, 4096)
+        # ids follow discovery order; closures list states in term order
+        super().__init__(tau_bound, 4096, 0, lambda i: _state_order(tuples[i]))
         self.kind = kind
 
     def state(self, p: Term):
-        """The state of term p, or None when p holds a part the roots never reach."""
+        """The id of term p, or None when p holds a part the roots never reach."""
         try:
-            return self.parts.key(canonicalize(p))
+            return self._intern(self.parts.key(canonicalize(p)))
         except KeyError:
             return None
+
+    def term(self, i: int) -> Term:
+        return self.parts.term(self._tuples[i])
 
     def respond(self, defn, action):
         return _respond(self.kind, self.closures, defn, action)
@@ -948,7 +973,7 @@ def _game_tau_bound(depth: int, tau_bound) -> int:
 
 
 def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None) -> Verdict:
-    """Semi-decide a pair by a depth-bounded game over part-id states.
+    """Semi-decide a pair by a depth-bounded game over interned part-id states.
 
     A returned refutation is a concrete attacker strategy and is sound as long
     as tau_bound covers the defender's silent moves; otherwise the verdict is
@@ -964,9 +989,9 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
         bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
         return Verdict("unknown", kind, bound_report=bound, stats=stats)
     *moves, (final_side, final_action, _, _) = found
-    term = game.parts.term
-    steps = tuple(TraceStep(side, action, (term(l), term(r)), rolled) for side, action, (l, r), rolled in moves)
-    trace = AttackerTrace(kind, (p, q), steps, "no-match", final_side, final_action)
+    term, acts = game.term, game.parts.actions
+    steps = tuple(TraceStep(side, acts[a], (term(l), term(r)), rolled) for side, a, (l, r), rolled in moves)
+    trace = AttackerTrace(kind, (p, q), steps, "no-match", final_side, acts[final_action])
     return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 

@@ -311,8 +311,12 @@ def satisfies(lts: Lts, s: int, f) -> bool:
 def distinguishing_formula(lts: Lts, s: int, t: int):
     """Formula true at s and false at t, from divergence-blind strong
     refinement rounds, read off its split forest (`round_block_of`); None
-    when only divergence separates the states."""
-    part = equivalence._refine(lts, "strong", [0] * lts.num_states())
+    when only divergence separates the states. The refinement is memoised on
+    the graph."""
+    key = ("strong", "divergence-blind")
+    part = lts.partitions.get(key)
+    if part is None:
+        part = lts.partitions[key] = equivalence._refine(lts, "strong", [0] * lts.num_states())
     if part.relates(s, t):
         return None
     round_block_of = functools.lru_cache(maxsize=None)(part.round_block_of)
@@ -367,7 +371,8 @@ def distinguishing_evidence(lts: Lts, s: int, t: int, kind: str) -> Evidence:
 #
 # Traces carry canonical terms, so they replay without the graph they were
 # extracted from: through the bounded game between the trace's start terms,
-# with every term mapped to that game's part-id state.
+# with every term mapped to that game's state id and every action to its
+# action id.
 
 
 def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
@@ -377,29 +382,34 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
     steps), and the final challenge is unanswerable or the final pair differs
     in divergence. Raises ReplayError otherwise."""
     game = equivalence._OnTheFly(trace.kind, tau_bound, trace.start)
+    action_id = {a: i for i, a in enumerate(game.parts.actions)}
     cur = tuple(game.state(t) for t in trace.start)
     for st in trace.steps:
         # a term holding a part the start never reaches has state None, which
         # is no step's target and no legal continuation
         after = tuple(game.state(t) for t in st.after)
         (chal, defn), (moved, answer) = (cur, after) if st.side == "left" else (cur[::-1], after[::-1])
+        action = action_id.get(st.action)  # None, no id, when no part offers it
+        targets = [t for a, t in game.step(chal) if a == action]
         # a rolled-back continuation keeps the challenger in place
-        if not st.rolled_back and moved not in [t for a, t in game.step(chal) if a == st.action]:
+        if not targets or not st.rolled_back and moved not in targets:
             moved_term = st.after[0] if st.side == "left" else st.after[1]
-            raise ReplayError(f"challenger has no {st.action.label()} step to {render(canonicalize(moved_term))}")
-        legal = {c for r in game.responses(defn, st.action) for c in game.answer(r, chal, st.action, moved)}
+            to = "" if st.rolled_back else f" to {render(canonicalize(moved_term))}"
+            raise ReplayError(f"challenger has no {st.action.label()} step{to}")
+        legal = {c for r in game.responses(defn, action) for c in game.answer(r, chal, action, moved)}
         if ((moved, answer), st.rolled_back) not in legal:
             raise ReplayError("defender answer is not a legal continuation")
         cur = after
     if trace.reason == "no-match":
         chal, defn = cur if trace.final_side == "left" else cur[::-1]
-        if not any(a == trace.final_action for a, _t in game.step(chal)):
+        action = action_id.get(trace.final_action)
+        if not any(a == action for a, _t in game.step(chal)):
             raise ReplayError("final challenge is not a real transition")
-        if game.responses(defn, trace.final_action):
+        if game.responses(defn, action):
             raise ReplayError("defender still has an answer to the final challenge")
     else:
         probe = Bounds(512, 32)
-        flags = {build_lts(game.parts.term(side), probe).diverges[0] for side in cur}
+        flags = {build_lts(game.term(side), probe).diverges[0] for side in cur}
         if flags != {semantics.DIV_YES, semantics.DIV_NO}:
             raise ReplayError("terminal pair does not mismatch on divergence")
     return True

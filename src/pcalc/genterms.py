@@ -1,4 +1,4 @@
-"""Seeded random generation of terms and graphs for the test suites.
+"""Seeded random generation of terms for the test suites and the CLI's probe.
 
 The PCALC_SEED environment variable pins every stream; the default seed is 0.
 """
@@ -8,7 +8,6 @@ from __future__ import annotations
 import os
 import random
 
-from .semantics import Action, Bounds, Lts, build_lts
 from .syntax import (
     NIL,
     HoInput,
@@ -19,7 +18,6 @@ from .syntax import (
     Repl,
     Term,
     Var,
-    canonicalize,
 )
 
 NAMES = ("a", "b", "c", "d")
@@ -109,48 +107,3 @@ def random_stabilizing(rng: random.Random, names=NAMES) -> Term:
     if rng.random() < 0.85:
         parts.append(random_ccsm(rng, rng.randint(2, 6), allow_repl=False, names=names))
     return Par(tuple(parts))
-
-
-def finite_state_corpus(rng: random.Random, count: int, max_states: int = 200, max_depth: int = 64):
-    """Canonical terms whose bounded graphs complete within max_states states,
-    mixing replication-free terms with self-stabilizing replication patterns."""
-    out = []
-    seen = set()
-    bounds = Bounds(max_states, max_depth)
-    while len(out) < count:
-        if rng.random() < 0.5:
-            cand = random_ccsm(rng, rng.randint(2, 9), allow_repl=False)
-        else:
-            cand = random_stabilizing(rng)
-        term = canonicalize(cand)
-        if term in seen:
-            continue
-        lts = build_lts(term, bounds)
-        if lts.truncated:
-            continue
-        seen.add(term)
-        out.append(term)
-    return out
-
-
-def random_graph_lts(rng: random.Random, max_states: int = 50, names=("a", "b")) -> Lts:
-    """A random labeled graph packaged as a complete Lts.
-
-    States carry distinct placeholder terms; only the graph structure matters
-    to the checkers, so this exercises them on shapes real terms rarely take.
-    """
-    n = rng.randint(2, max_states)
-    actions = [Action("tau")]
-    for nm in names:
-        actions.append(Action("in", nm))
-        actions.append(Action("out", nm))
-    edges = set()
-    m = rng.randint(n, min(3 * n, n + 60))
-    for _ in range(m):
-        s = rng.randrange(n)
-        t = rng.randrange(n)
-        a = rng.choice(actions)
-        edges.add((s, a, t))
-    edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
-    states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
-    return Lts(states, edges, (0,), frozenset())

@@ -361,9 +361,11 @@ class _ContextGame(_Game):
     continuation, and each such continuation is labelled with its context.
     """
 
+    challenge_order = staticmethod(lambda ch: (ch[1].sort_key(), ch[0]))
+
     def __init__(self, mode, fam, tau_bound):
         self.step = functools.lru_cache(maxsize=None)(lambda p: ho_step(p, fam))
-        super().__init__(tau_bound, 2048)
+        super().__init__(tau_bound, 2048, HO_TAU, term_key)
         self.mode, self.fam = mode, fam
 
     def respond(self, defn, action):

@@ -1,6 +1,6 @@
 """First-order operational semantics: single steps, bounded state graphs,
 their silent-step SCCs, divergence analysis, and one lazy silent-closure
-helper, for terms, part-id states and graph states alike.
+helper, for terms, game state ids and graph states alike.
 
 State identity everywhere is the canonical form, so graphs are quotiented by
 structural congruence. Exploration is bounded and truncation is recorded
@@ -12,7 +12,8 @@ a reachable state holds is reached by stepping the roots' parts. Exploration
 numbers those parts once, in term order, and explores states as sorted tuples
 of part ids: a move replaces one id, or two for a communication, by the ids of
 the derivatives, and each state's term is built once, when it is discovered.
-The first-order bounded game of `equivalence` plays over the same tuples.
+The first-order bounded game of `equivalence` numbers the same tuples as it
+meets them and plays over those ids.
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ class Lts:
     pairs. `edges` and `succ` are views of that table. The constructor takes
     (src, Action, dst) edges, or, when `actions` is given, the table itself.
     `partitions` memoises each kind's refinement from the divergence split
-    (`equivalence.compute_partition`) and each pair kind's relation
-    (`equivalence.relation`).
+    (`equivalence.compute_partition`), each pair kind's relation
+    (`equivalence.relation`) and the divergence-blind strong refinement
+    (`evidence.distinguishing_formula`).
     """
 
     def __init__(self, states, edges, initials, frontier, actions=None):
@@ -541,23 +543,27 @@ def diverges(lts: Lts, s: int) -> str:
 # ---------------------------------------------------------------------------
 # Silent closures
 #
-# One lazy helper serves terms, part-id states and graph states alike: `step`
-# is the term semantics (or a higher-order one), a first-order game's moves
-# over part-id states, or a graph's `succ`.
+# One lazy helper serves terms, game state ids and graph states alike: `step`
+# is the term semantics (or a higher-order one) over Actions, or int-coded
+# moves, (action id, target id) with tau 0: a first-order game's over the ids
+# of its part-id tuples, or a graph's `moves` rows.
 
 
 class SilentClosures(dict):
     """Silent closures through `step`, keyed by root. Each is explored
     breadth-first on demand and holds at most `cap` states, none more than
     `bound` silent steps from its root (no depth limit when bound is None).
+    A step by action `silent` is silent, and `order` is the sort key of the
+    states in term order (None: the states' own order); both default to the
+    term semantics.
     """
 
-    def __init__(self, step, bound, cap):
+    def __init__(self, step, bound, cap, silent=TAU, order=term_key):
         super().__init__()
-        self.step, self.bound, self.cap = step, bound, cap
+        self.step, self.bound, self.cap, self.silent, self.order = step, bound, cap, silent, order
 
     def __missing__(self, root):
-        self[root] = closure = _Closure(root, self.step, self.bound, self.cap)
+        self[root] = closure = _Closure(root, self.step, self.bound, self.cap, self.silent, self.order)
         return closure
 
     def weak_moves(self, root, matches):
@@ -579,10 +585,10 @@ class _Closure:
     far as it is read; `states()` reads the whole closure."""
 
     # one per state a game or trace search reads: no per-instance dict
-    __slots__ = ("step", "bound", "cap", "depth", "order", "pos", "cut", "_states")
+    __slots__ = ("step", "bound", "cap", "silent", "key", "depth", "order", "pos", "cut", "_states")
 
-    def __init__(self, root, step, bound, cap):
-        self.step, self.bound, self.cap = step, bound, cap
+    def __init__(self, root, step, bound, cap, silent, key):
+        self.step, self.bound, self.cap, self.silent, self.key = step, bound, cap, silent, key
         self.depth = {root: 0}
         self.order = [root]  # breadth-first; the states before pos are expanded
         self.pos = 0
@@ -596,8 +602,9 @@ class _Closure:
         u = self.order[self.pos]
         self.pos += 1
         inside = self.bound is None or self.depth[u] < self.bound
+        silent = self.silent
         for a, t in self.step(u):
-            if a.is_tau and t not in self.depth:
+            if a == silent and t not in self.depth:
                 if inside and len(self.order) < self.cap:
                     self.depth[t] = self.depth[u] + 1
                     self.order.append(t)
@@ -613,18 +620,16 @@ class _Closure:
                 i += 1
 
     def states(self):
-        """All the states in term order (graph states by index, part-id
-        tuples by `_state_order`), and whether no silent step was cut off."""
+        """All the states in the helper's order, and whether no silent step
+        was cut off."""
         if self._states is None:
-            root = self.order[0]
-            key = None if isinstance(root, int) else _state_order if isinstance(root, tuple) else term_key
-            self._states = (tuple(sorted(self, key=key)), not self.cut)
+            self._states = (tuple(sorted(self, key=self.key)), not self.cut)
         return self._states
 
 
 def closures(lts: Lts) -> SilentClosures:
-    """The silent closures of a complete graph's states, exact: no depth
-    bound, and a cap no closure can reach."""
+    """The silent closures of a complete graph's states through its int-coded
+    `moves`, exact: no depth bound, and a cap no closure can reach."""
     if lts.truncated:
         raise TruncatedInput("closures need a complete graph")
-    return SilentClosures(lts.succ, None, lts.num_states())
+    return SilentClosures(lts.moves.__getitem__, None, lts.num_states(), 0, None)

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pcalc.genterms import finite_state_corpus, rng_from_env
+from oracles import finite_state_corpus
+from pcalc.genterms import rng_from_env
 
 
 @pytest.fixture(scope="session")

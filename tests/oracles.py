@@ -1,4 +1,5 @@
-"""Independent reference implementations used only to cross-check the package.
+"""Independent reference implementations used only to cross-check the package,
+and the seeded corpora the suites check it on.
 
 The step oracle matches the derivation rules literally on a binary reading of
 parallel composition; the relation oracle is a plain greatest-fixpoint
@@ -6,8 +7,12 @@ deletion over all state pairs, one literal clause per equivalence. Both stay
 deliberately naive and share no code with the checked paths.
 """
 
-from pcalc.semantics import TAU, Action
+import random
+
+from pcalc.genterms import random_ccsm, random_stabilizing
+from pcalc.semantics import TAU, Action, Bounds, Lts, build_lts
 from pcalc.syntax import (
+    NIL,
     InputPrefix,
     Nil,
     OutputPrefix,
@@ -155,3 +160,52 @@ def naive_relation(lts, kind):
                 R.discard((q, p))
                 changed = True
     return frozenset((p, q) for p, q in R if p < q)
+
+
+# ---------------------------------------------------------------------------
+# Seeded corpora
+
+
+def finite_state_corpus(rng: random.Random, count: int, max_states: int = 200, max_depth: int = 64):
+    """Canonical terms whose bounded graphs complete within max_states states,
+    mixing replication-free terms with self-stabilizing replication patterns."""
+    out = []
+    seen = set()
+    bounds = Bounds(max_states, max_depth)
+    while len(out) < count:
+        if rng.random() < 0.5:
+            cand = random_ccsm(rng, rng.randint(2, 9), allow_repl=False)
+        else:
+            cand = random_stabilizing(rng)
+        term = canonicalize(cand)
+        if term in seen:
+            continue
+        lts = build_lts(term, bounds)
+        if lts.truncated:
+            continue
+        seen.add(term)
+        out.append(term)
+    return out
+
+
+def random_graph_lts(rng: random.Random, max_states: int = 50, names=("a", "b")) -> Lts:
+    """A random labeled graph packaged as a complete Lts.
+
+    States carry distinct placeholder terms; only the graph structure matters
+    to the checkers, so this exercises them on shapes real terms rarely take.
+    """
+    n = rng.randint(2, max_states)
+    actions = [Action("tau")]
+    for nm in names:
+        actions.append(Action("in", nm))
+        actions.append(Action("out", nm))
+    edges = set()
+    m = rng.randint(n, min(3 * n, n + 60))
+    for _ in range(m):
+        s = rng.randrange(n)
+        t = rng.randrange(n)
+        a = rng.choice(actions)
+        edges.add((s, a, t))
+    edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
+    states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
+    return Lts(states, edges, (0,), frozenset())

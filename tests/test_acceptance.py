@@ -26,7 +26,7 @@ import itertools
 import json
 import time
 
-from oracles import naive_relation, naive_step
+from oracles import naive_relation, naive_step, random_graph_lts
 from pcalc.cli import run
 from pcalc.equivalence import (
     CCSM_KINDS,
@@ -36,7 +36,7 @@ from pcalc.equivalence import (
     relation,
 )
 from pcalc.evidence import Certificate, check_certificate
-from pcalc.genterms import random_ccsm, random_graph_lts, rng_from_env
+from pcalc.genterms import random_ccsm, rng_from_env
 from pcalc.hocore import HO_TAU, HoAction, TestFamilies, context_game, ho_step
 from pcalc.semantics import Bounds, build_lts, step, union_lts
 from pcalc.syntax import NIL, Repl, canonicalize, parse, render, subterms

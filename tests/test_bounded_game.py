@@ -333,6 +333,17 @@ def test_growth_pair_game_work_is_pinned():
         assert tuple(verdict.stats[k] for k in GAME_STATS) == counts, kind
 
 
+def test_growth_pair_game_tables_are_keyed_by_ints():
+    # the game plays over interned state ids and action ids: no memo table
+    # hashes a part-id tuple or an Action
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
+    game = equivalence._OnTheFly("weak", 7, (p, q))
+    assert game.play(game.state(p), game.state(q), 7)[0] is None
+    for table in (game.safe, game._responses, game._challenges):
+        assert table
+        assert all(type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key) for key in table)
+
+
 def test_closures_cut_counts_bounded_defender_closures():
     left = parse("a.a.a.a.a.a.a.a.'d | !a | !'a | !d")
     right = parse("'d | !a | !'a | !d")

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import naive_relation
+from oracles import naive_relation, random_graph_lts
 from pcalc.equivalence import (
     CCSM_KINDS,
     PARTITION_KINDS,
@@ -15,7 +15,7 @@ from pcalc.equivalence import (
     decide,
     relation,
 )
-from pcalc.genterms import random_graph_lts, rng_from_env
+from pcalc.genterms import rng_from_env
 from pcalc.semantics import Action, Bounds, Lts, build_lts, union_lts
 from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
 

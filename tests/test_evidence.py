@@ -5,7 +5,7 @@ import pytest
 from test_refinement import W1, W1_TAU, W4_FAMILY, _random_graphs, old_strong_history
 
 from pcalc import equivalence
-from pcalc.equivalence import CCSM_KINDS, InvalidRequest, TraceStep, TruncatedInput, bounded_game, decide
+from pcalc.equivalence import CCSM_KINDS, AttackerTrace, InvalidRequest, TraceStep, TruncatedInput, bounded_game, decide
 from pcalc.evidence import (
     AndF,
     Certificate,
@@ -195,16 +195,15 @@ def old_distinguishing_formula(lts, history, s, t):
 
 
 def test_formulas_match_the_history_builder(monkeypatch):
-    # One refinement per graph serves every pair of it: `_refine` is a pure
-    # function of the graph here, as every formula seeds it with one block.
-    real, memo = equivalence._refine, {}
+    # One refinement per graph serves every pair of it: the divergence-blind
+    # strong refinement is memoised on the graph.
+    real, refined = equivalence._refine, []
 
-    def refine_once(lts, kind, seed):
-        if id(lts) not in memo:
-            memo[id(lts)] = real(lts, kind, seed)
-        return memo[id(lts)]
+    def counted(lts, kind, seed):
+        refined.append(lts)
+        return real(lts, kind, seed)
 
-    monkeypatch.setattr(equivalence, "_refine", refine_once)
+    monkeypatch.setattr(equivalence, "_refine", counted)
     w4 = build_lts(parse(W4_FAMILY))
     # every ordered pair of 40 random graphs; on the 322-state W4 family
     # graph, whose pairs take about 1 ms each in each builder, 6 rows of 322
@@ -221,6 +220,7 @@ def test_formulas_match_the_history_builder(monkeypatch):
                 compared += 1
                 separated += new is not None
     assert compared == 13000 and separated == 12094
+    assert refined == [lts for lts, _rows in graphs]
 
 
 @pytest.mark.parametrize(
@@ -309,6 +309,27 @@ def test_replay_rejects_a_challenger_step_that_is_not_a_transition():
     moved = replace(first, after=(canonicalize(parse("c | 'd")), first.after[1]))
     with pytest.raises(ReplayError, match="challenger has no a step"):
         replay_trace(replace(trace, steps=(moved,)))
+
+
+def test_replay_rejects_a_forged_mid_trace_action():
+    # replay maps each step's action to the game's action id: an action no
+    # part of the start offers (zz), and one the game knows but the
+    # challenger lacks at that step (b), fail replay, rolled back or not
+    trace = _strong_trace()
+    (first,) = trace.steps
+    for action in (Action("in", "zz"), Action("in", "b")):
+        for rolled in (False, True):
+            forged = replace(first, action=action, rolled_back=rolled)
+            with pytest.raises(ReplayError, match=f"challenger has no {action.label()} step"):
+                replay_trace(replace(trace, steps=(forged,)))
+    # a rolled-back continuation does not name the challenger's derivative,
+    # yet the challenger must still have the step: here b has no a, though
+    # the defender's answer a -a-> 0 offers the rolled-back pair (b, a)
+    b, a = canonicalize(parse("b")), canonicalize(parse("a"))
+    step_a = TraceStep("left", Action("in", "a"), (b, a), rolled_back=True)
+    forged = AttackerTrace("branching", (b, a), (step_a,), "no-match", "left", Action("in", "b"))
+    with pytest.raises(ReplayError, match="challenger has no a step"):
+        replay_trace(forged)
 
 
 def test_replay_rejects_a_part_the_start_never_reaches():

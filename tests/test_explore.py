@@ -13,7 +13,8 @@ import random
 import tracemalloc
 
 from pcalc import semantics, syntax
-from pcalc.genterms import finite_state_corpus, random_ccsm, random_graph_lts, random_stabilizing
+from oracles import finite_state_corpus, random_graph_lts
+from pcalc.genterms import random_ccsm, random_stabilizing
 from pcalc.hocore import TestFamilies, ho_step
 from pcalc.semantics import TAU, Action, Bounds, Lts, cache_info, clear_caches
 from pcalc.syntax import InputPrefix, Nil, OutputPrefix, Par, Repl, Term, canonical_par, canonicalize, parse, term_key

@@ -11,8 +11,10 @@ traces.
 A second reference keeps the on-demand rank search as it was before it
 walked the memoised responses in place: it resumed the `answers` generator
 for every answer of every expansion, and started every pair's lower bound
-at 1. The search must give the same traces as it, and, given the same lower
-bounds (the one change to it), the same `rank_pairs`.
+at 1. It keeps its own copy of the transfer clause and challenges as they
+were before they read int-coded moves, over `Action`s and `Lts.succ`. The
+search must give the same traces as it, and, given the same lower bounds
+(the one change to it), the same `rank_pairs`.
 """
 
 import math
@@ -23,22 +25,21 @@ import pytest
 from pcalc import equivalence
 from pcalc.equivalence import (
     CCSM_KINDS,
+    PAIR_KINDS,
     PARTITION_KINDS,
     AttackerTrace,
     InvalidRequest,
     TraceStep,
     TruncatedInput,
     _answer,
-    _challenges,
-    _respond,
     compute_partition,
     decide,
     extract_trace,
     pair_gfp,
     relation,
 )
-from pcalc.genterms import finite_state_corpus, random_graph_lts
-from pcalc.semantics import Action, Bounds, Lts, build_lts, closures, union_lts
+from oracles import finite_state_corpus, random_graph_lts
+from pcalc.semantics import TAU, Action, Bounds, Lts, SilentClosures, build_lts, union_lts
 from pcalc.syntax import parse
 from test_refinement import old_closures
 
@@ -264,6 +265,50 @@ def ref_extract_trace(lts: Lts, kind: str, start, relates, cls: Closures = None)
 # Reference rank search over the `answers` generator (verbatim but for names)
 
 
+def _action_closures(lts: Lts) -> SilentClosures:
+    """The silent closures of a complete graph's states through `Lts.succ`."""
+    return SilentClosures(lts.succ, None, lts.num_states(), TAU, None)
+
+
+def _action_challenges(lts: Lts, pair):
+    l, r = pair
+    for side, chal, defn in (("left", l, r), ("right", r, l)):
+        for action, deriv in lts.succ(chal):
+            yield side, action, deriv, chal, defn
+
+
+def _action_respond(kind: str, closures: SilentClosures, defn, action: Action):
+    """The transfer clause of each kind: defn's responses to a challenge by
+    action, whichever side challenged, and whether a silent closure they read
+    was cut short. States are terms or graph states, stepped by
+    `closures.step`.
+
+    A response is a (mid, target) pair. Mid None stands for the answer with
+    the single continuation (derivative, target); otherwise for the
+    branching-style answer whose continuations are (challenger, mid), rolled
+    back, and (derivative, target).
+    """
+    step = closures.step
+    # the quasi-strong styles match a silent move with exactly one silent step
+    if kind == "strong" or (action.is_tau and kind in PAIR_KINDS):
+        return tuple((None, t) for a, t in step(defn) if a == action), False
+    if kind == "weak" and not action.is_tau:
+        moves, complete = closures.weak_moves(defn, lambda a: a == action)
+        return tuple((None, t) for _a, t in moves), not complete
+    pres, complete = closures[defn].states()
+    if kind == "weak":
+        out = tuple((None, t) for t in pres)
+    elif kind == "quasi-strong":
+        targets = dict.fromkeys(t for pre in pres for a, t in step(pre) if a == action)
+        out = tuple((None, t) for t in targets)
+    elif kind in ("branching", "qs-branching"):
+        out = ((None, defn),) if action.is_tau else ()
+        out += tuple((pre, t) for pre in pres for a, t in step(pre) if a == action)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return out, not complete
+
+
 class _GeneratorRankSearch:
     """Memoised, goal-directed search for "rank(pair) <= k".
 
@@ -280,7 +325,7 @@ class _GeneratorRankSearch:
     def __init__(self, lts: Lts, kind: str, relates, lower=None):
         self.lts, self.kind, self.relates = lts, kind, relates
         self.lower = lower
-        self.cls = closures(lts)
+        self.cls = _action_closures(lts)
         self.lo, self.hi = {}, {}
         self._responses = {}
 
@@ -291,7 +336,7 @@ class _GeneratorRankSearch:
         side, action, deriv, chal, defn = challenge
         responses = self._responses.get((defn, action))
         if responses is None:
-            responses, _cut = _respond(self.kind, self.cls, defn, action)
+            responses, _cut = _action_respond(self.kind, self.cls, defn, action)
             responses = sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
             self._responses[(defn, action)] = responses
         for response in responses:
@@ -313,7 +358,7 @@ class _GeneratorRankSearch:
 
     def _expand(self, pair, k):
         """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict."""
-        for ch in _challenges(self.lts, pair):
+        for ch in _action_challenges(self.lts, pair):
             for ans in self.answers(ch):
                 for c in ans:
                     known = self._known(c, k - 1)
@@ -364,7 +409,7 @@ def generator_extract_trace(lts: Lts, kind: str, start, relates, lower=None) -> 
     continuation of rank below b. The defender plays the answer whose best
     such continuation has the highest rank, and the attacker follows the
     lowest-ranked one, ties broken by pair. The trace's `rank_pairs` counts
-    the pairs the search bounded. Answers come from `_respond` over the
+    the pairs the search bounded. Answers come from `_action_respond` over the
     graph's silent closures; the strong style reads none of them.
     """
     start = tuple(start)
@@ -374,7 +419,7 @@ def generator_extract_trace(lts: Lts, kind: str, start, relates, lower=None) -> 
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
-        for ch in sorted(_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
+        for ch in sorted(_action_challenges(lts, pair), key=lambda ch: (ch[1].sort_key(), ch[0], ch[2])):
             answers = tuple(game.answers(ch))
             if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
                 break

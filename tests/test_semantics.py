@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from oracles import naive_explore, naive_step
+from pcalc import equivalence
 from pcalc.genterms import random_ccsm, rng_from_env
 from pcalc.semantics import (
     TAU,
@@ -202,3 +203,15 @@ def test_read_silent_closures_are_freed_without_the_cyclic_collector():
             assert ref() is None
         finally:
             gc.enable()
+    # a finished first-order game too: its memoised step and its closures'
+    # state order hold the table of interned states, not the game
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
+    game = equivalence._OnTheFly("weak", 7, (p, q))
+    assert game.play(game.state(p), game.state(q), 7)[0] is None
+    ref = weakref.ref(game)
+    gc.disable()
+    try:
+        del game
+        assert ref() is None
+    finally:
+        gc.enable()
