@@ -11,14 +11,14 @@ Without restriction a state is a multiset of sequential parts, and every part
 a reachable state holds is reached by stepping the roots' parts. Exploration
 numbers those parts once, in term order, and explores states as sorted tuples
 of part ids: a move replaces one id, or two for a communication, by the ids of
-the derivatives, and each state's term is built once, when it is discovered.
+the derivatives, and a graph builds a state's term only when it is read.
 The first-order bounded game of `equivalence` numbers the same tuples as it
 meets them and plays over those ids.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -106,12 +106,9 @@ class Bounds:
 # ---------------------------------------------------------------------------
 # Single steps
 #
-# A state is a multiset of sequential parts, and every part a state reaches
-# is a part of a root or of a part's derivative. A `_Parts` numbers such parts
-# in term order, so that a state is the sorted tuple of its parts' ids. One
-# rule, `_Parts.moves`, gives a parallel composition's moves over those
-# tuples: `step` runs it over one term's parts, and `union_lts` over every
-# part its roots reach, building one term per state it discovers.
+# One rule, `_Parts.moves`, gives a parallel composition's moves over sorted
+# part-id tuples: `step` runs it over one term's parts, and `union_lts` over
+# every part its roots reach.
 
 _step_cache: dict = {}
 _TABLES = {
@@ -159,9 +156,7 @@ def _step(p: Term):
         moves = sorted(parts.moves(parts.key(p)), key=_move_order)
         return tuple((parts.actions[a], parts.term(t)) for a, t in moves)
     moves = set()
-    if isinstance(p, Nil):
-        pass
-    elif isinstance(p, InputPrefix):
+    if isinstance(p, InputPrefix):
         moves.add((Action("in", p.name), p.cont))
     elif isinstance(p, OutputPrefix):
         moves.add((Action("out", p.name), p.cont))
@@ -175,7 +170,7 @@ def _step(p: Term):
             for act_out, t_out in inner:
                 if act_out.kind == "out" and act_out.name == act_in.name:
                     moves.add((TAU, canonical_par([t_in, t_out, p])))
-    else:
+    elif not isinstance(p, Nil):
         raise TypeError(f"not a first-order term: {p!r}")
     return tuple(sorted(moves, key=lambda m: (m[0].sort_key(), term_key(m[1]))))
 
@@ -224,11 +219,17 @@ class _Parts:
         self.id = {q: i for i, q in enumerate(self.parts)}
         self.actions = sorted({a for ms in stepped.values() for a, _t in ms} | {TAU}, key=Action.sort_key)
         aid = {a: i for i, a in enumerate(self.actions)}
-        # the output each input action communicates with, if any step offers it
-        self.partner = [aid.get(a.complement()) if a.kind == "in" else None for a in self.actions]
+        partner = [aid.get(a.complement()) if a.kind == "in" else None for a in self.actions]
         self.part_moves = [None] * len(self.parts)
         for q, ms in stepped.items():
             self.part_moves[self.id[q]] = [(aid[a], self.key(t)) for a, t in ms]
+        # per part, its communications as the input side: (output part, both derivatives' ids). Only
+        # distinct parts talk: two copies of a replication reach by talking what one reaches alone.
+        steps = [(q, a, d) for q, ms in enumerate(self.part_moves) for a, d in ms or ()]
+        self.comms = [[] for _ in self.parts]
+        for q, a, d in steps:
+            if partner[a] is not None:
+                self.comms[q] += [(q_o, d + d_o) for q_o, a_o, d_o in steps if a_o == partner[a] and q_o != q]
 
     def key(self, p: Term) -> tuple:
         """The state of canonical term p, whose parts must be numbered."""
@@ -243,33 +244,19 @@ class _Parts:
     def moves(self, state: tuple) -> set:
         """The moves of the parallel composition of state's parts:
         interleaving and communication. Equal parts step alike, so each
-        distinct part steps once. Only distinct parts communicate: a part
-        with an input and an output is a replication, and two copies of it
-        reach by communicating what one reaches by self-communication."""
-        out = set()
-        visible = {}  # action id -> [(part, derivative)]
-        for q in dict.fromkeys(state):
+        distinct part steps once, from the state less that part."""
+        out, prev = set(), None
+        for i, q in enumerate(state):
+            if q == prev:  # equal parts sit side by side
+                continue
+            prev, rest = q, state[:i] + state[i + 1 :]
             for a, d in self.part_moves[q]:
-                out.add((a, _replace(state, (q,), d)))
-                if a:
-                    visible.setdefault(a, []).append((q, d))
-        for a, ins in visible.items():
-            for q_o, d_o in visible.get(self.partner[a], ()):
-                for q_i, d_i in ins:
-                    if q_i != q_o:
-                        out.add((0, _replace(state, (q_i, q_o), d_i + d_o)))
+                out.add((a, tuple(sorted(rest + d)) if d else rest))
+            for q_o, d in self.comms[q]:
+                if q_o in rest:
+                    j = rest.index(q_o)
+                    out.add((0, tuple(sorted(rest[:j] + rest[j + 1 :] + d))))
         return out
-
-
-def _replace(state: tuple, drop, add) -> tuple:
-    """The sorted multiset state less one copy of each id in drop, plus the
-    ids in add, merged in."""
-    out = list(state)
-    for q in drop:
-        out.remove(q)
-    for q in add:
-        insort(out, q)
-    return tuple(out)
 
 
 def components(p: Term) -> Counter:
@@ -284,15 +271,17 @@ def components(p: Term) -> Counter:
 class Lts:
     """A finite, possibly truncated transition graph over canonical terms.
 
-    States are pairwise distinct canonical terms; frontier states are those
-    whose outgoing transitions were not expanded, and the graph is truncated
-    when there are any. diverges holds one of 'yes'/'no'/'unknown' per state,
-    computed by the constructor.
+    States are pairwise distinct canonical terms, an explored graph's built on
+    first read (`_States`); frontier states are those whose outgoing
+    transitions were not expanded, and the graph is truncated when there are
+    any. diverges holds one of 'yes'/'no'/'unknown' per state, computed by
+    the constructor.
 
     The moves are stored once, int-coded: `actions` numbers the actions in
-    sort-key order, so tau is 0, and moves[s] holds s's (action id, target)
-    pairs. `edges` and `succ` are views of that table. The constructor takes
-    (src, Action, dst) edges, or, when `actions` is given, the table itself.
+    sort-key order, so tau is 0, and moves[s] holds s's sorted (action id,
+    target) pairs, its silent moves first. `edges` and `succ` are views of
+    that table. The constructor takes (src, Action, dst) edges, or, when
+    `actions` is given, the sorted table itself.
     `partitions` memoises each kind's refinement from the divergence split
     (`equivalence.compute_partition`), each pair kind's relation
     (`equivalence.relation`) and the divergence-blind strong refinement
@@ -303,10 +292,10 @@ class Lts:
         if actions is None:
             actions = sorted({a for _s, a, _t in edges} | {TAU}, key=Action.sort_key)
             aid = {a: i for i, a in enumerate(actions)}
-            rows = [[] for _ in states]
+            rows = [[] for _ in range(len(states))]
             for s, a, t in edges:
                 rows[s].append((aid[a], t))
-            edges = [tuple(row) for row in rows]
+            edges = [tuple(sorted(row)) for row in rows]
         self.states, self.initials = states, initials
         self.truncated, self.frontier = bool(frontier), frontier
         self.actions, self.moves = tuple(actions), edges
@@ -338,7 +327,8 @@ class Lts:
         return self._sccs
 
     def tau_succ(self, s: int):
-        return [t for a, t in self.moves[s] if not a]
+        row = self.moves[s]
+        return [t for _a, t in row[: bisect_left(row, (1,))]]  # silent moves sort first
 
     def num_states(self) -> int:
         return len(self.states)
@@ -377,42 +367,54 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
     Deterministic: states are numbered in BFS discovery order with term-order
     tie-breaking among one state's newly discovered successors. A state is
     either fully expanded or left on the frontier untouched. States are
-    explored as sorted tuples of part ids (see `_Parts`).
+    explored as sorted tuples of part ids (see `_Parts` and `_States`).
     """
     roots = [canonicalize(t) for t in terms]
     parts = _Parts([q for r in roots for q in _parts_of(r)], closed=True)
-    states: list = []
-    keys: list = []
-    index: dict = {}
-    depth: list = []
-    initials = []
-    for r in roots:
-        key = parts.key(r)
-        if key not in index:
-            index[key] = len(states)
-            states.append(r)
-            keys.append(key)
-            depth.append(0)
-        initials.append(index[key])
+    index: dict = {}  # each state's number
+    initials = [index.setdefault(parts.key(r), len(index)) for r in roots]
+    keys = list(index)
+    depth = [0] * len(keys)
     table = []  # per state: sorted (action id, target) pairs; () on the frontier
     frontier = set()
-    pos = 0
-    while pos < len(states):
+    for pos, key in enumerate(keys):  # runs on over the states it appends
         within = depth[pos] < bounds.max_depth
-        moves = parts.moves(keys[pos]) if within else ()
+        moves = parts.moves(key) if within else ()
         new_targets = {t for _a, t in moves if t not in index}
-        if not within or len(states) + len(new_targets) > bounds.max_states:
+        if not within or len(keys) + len(new_targets) > bounds.max_states:
             frontier.add(pos)  # at the depth bound, or its successors would pass the state bound
             table.append(())
         else:
             for t in sorted(new_targets, key=_state_order):
-                index[t] = len(states)
-                states.append(parts.term(t))
+                index[t] = len(keys)
                 keys.append(t)
                 depth.append(depth[pos] + 1)
-            table.append(tuple(sorted((a, index[t]) for a, t in moves)))
-        pos += 1
+            table.append(tuple(sorted([(a, index[t]) for a, t in moves])))
+    states = _States(parts, keys, dict(zip(initials, roots)))
     return Lts(states, table, tuple(initials), frozenset(frontier), actions=parts.actions)
+
+
+class _States:
+    """An explored graph's state terms, read as a list: the roots' as given,
+    and state i's built from its part-id tuple `tuples[i]` on first read."""
+
+    def __init__(self, parts: _Parts, tuples: list, terms: dict):
+        self.parts, self.tuples, self.terms = parts, tuples, terms
+
+    def __len__(self):
+        return len(self.tuples)
+
+    def __getitem__(self, i):  # iteration reads on up to the IndexError past the end
+        p = self.terms.get(i)
+        if p is None:
+            p = self.terms[i] = self.parts.term(self.tuples[i])
+        return p
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _States) else other)
+
+    def index(self, p: Term) -> int:
+        return list(self).index(p)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +493,14 @@ def _silent_sccs(lts: Lts) -> SilentSccs:
     return SilentSccs(tuple(of), tuple(members), tuple(cyclic), tuple(exits))
 
 
-def _scc_reach(sccs: SilentSccs):
-    """Reflexive silent reachability per SCC: one frozenset its members share."""
-    reach = []
-    for c, scc in enumerate(sccs.members):
-        reach.append(frozenset(scc).union(*(reach[d] for d in sccs.exits[c])))
-    return reach
-
-
 # ---------------------------------------------------------------------------
 # Divergence
 #
 # On a complete graph a state diverges iff it tau-reaches a tau-cycle. On a
 # truncated graph a growth witness is also a sound yes: a tau-path s => t
 # whose target's component multiset strictly contains the source's repeats
-# forever, because steps survive added parallel context.
+# forever, because steps survive added parallel context. The multisets are
+# sorted part-id tuples, an edge-list graph's states' parts numbered first.
 
 
 def _divergence_flags(lts: Lts):
@@ -513,25 +508,30 @@ def _divergence_flags(lts: Lts):
     k = len(sccs.members)
     yes = [False] * k
     unknown = [False] * k
-    if lts.truncated:
-        reach = _scc_reach(sccs)
-        comp = [components(p) for p in lts.states]
-        size = [sum(cu.values()) for cu in comp]
+    reach, ids = [], {}  # per SCC, the states its members reach silently; an edge-list graph's part ids
+    if lts.truncated and isinstance(lts.states, _States):
+        keys = lts.states.tuples
+    elif lts.truncated:  # an edge-list graph: its states' parts numbered here
+        keys = [tuple(sorted(ids.setdefault(q, len(ids)) for q in _parts_of(p))) for p in lts.states]
     for c, scc in enumerate(sccs.members):
         exits = sccs.exits[c]
         yes[c] = sccs.cyclic[c] or any(yes[d] for d in exits)
         if not lts.truncated:
             continue
+        reach.append(frozenset(scc).union(*(reach[d] for d in exits)))
         # a growth witness matters only where no cycle is reached already
         if not yes[c]:
             yes[c] = any(
-                size[v] > size[u] and all(comp[v][p] >= m for p, m in comp[u].items())
-                for u in scc
-                for v in reach[c]
-                if v != u
+                len(keys[v]) > len(keys[u]) and _within(keys[u], keys[v]) for u in scc for v in reach[c]
             )
         unknown[c] = any(u in lts.frontier for u in scc) or any(unknown[d] for d in exits)
     return [DIV_YES if yes[c] else DIV_UNKNOWN if unknown[c] else DIV_NO for c in sccs.of]
+
+
+def _within(u: tuple, v: tuple) -> bool:
+    """Whether sorted tuple u is a sub-multiset, so a subsequence, of v."""
+    rest = iter(v)
+    return all(q in rest for q in u)
 
 
 def diverges(lts: Lts, s: int) -> str:
