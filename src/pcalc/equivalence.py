@@ -2,10 +2,10 @@
 on-the-fly games for graphs that cannot be fully explored. Each kind's
 transfer clause is written once (`_respond`), over the lazy silent closures of
 `semantics` and int codes: action ids, tau 0, and states that are graph states
-(trace extraction) or the ids the first-order bounded game (and trace replay)
-gives the sorted part-id tuples that exploration uses. One attacker search
-serves the first-order game and the higher-order context game (`hocore`),
-which plays over terms.
+(trace extraction) or the ids of the part-id state table (`semantics._States`)
+that exploration, the first-order bounded game and trace replay share. One
+attacker search serves the first-order game and the higher-order context game
+(`hocore`), which plays over terms.
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -22,7 +22,6 @@ of the SCCs its silent steps lead to, so refinement reads no weak closures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -31,8 +30,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import semantics
-from .semantics import Action, Bounds, Lts, SilentClosures, TruncatedInput, closures, union_lts
-from .semantics import _move_order, _Parts, _parts_of, _state_order
+from .semantics import Action, Bounds, Lts, SilentClosures, TruncatedInput, _States, closures, union_lts
 from .syntax import Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
@@ -914,51 +912,26 @@ class _Game:
 
 
 class _OnTheFly(_Game):
-    """The first-order game between two roots, over the states `union_lts`
-    explores: one closed `semantics._Parts` numbers every part the roots
-    reach, a state is a sorted part-id tuple, and the game numbers each
-    state on first sight and plays over those ids. A position is a pair of
-    ids and an action is a `parts.actions` id, tau 0. Moves are
-    `_Parts.moves` in term order, memoised per game, and the transfer
-    clauses `_respond` and `_answer` read through the one lazy silent-closure
-    helper, `semantics.SilentClosures`, which trace extraction uses over
-    graph states. `term` turns an id back into its term."""
+    """The first-order game between two roots, over the part-id states that
+    `union_lts` explores, read through one `semantics._States` table: it
+    numbers each state on first sight, memoises its moves in term order and
+    turns a term into its id (`state`) and an id back into its term
+    (`term`). A position is a pair of ids and an action is a `parts.actions`
+    id, tau 0. The transfer clauses `_respond` and `_answer` read through the
+    one lazy silent-closure helper, `semantics.SilentClosures`, which trace
+    extraction uses over graph states."""
 
     answer = staticmethod(_answer)
     challenge_order = staticmethod(itemgetter(1, 0))  # action ids follow sort-key order
 
     def __init__(self, kind, tau_bound, roots):
-        self.parts = parts = _Parts([q for r in roots for q in _parts_of(canonicalize(r))], closed=True)
-        ids, tuples = {}, []  # each state's id, and each id's state
-
-        def intern(t):
-            i = ids.get(t)
-            if i is None:
-                i = ids[t] = len(tuples)
-                tuples.append(t)
-            return i
-
-        # closures over the table, not methods, so that the memo and the
-        # silent closures holding them keep no reference to the game: a
+        # the table's step and order hold no reference to the game: a
         # finished game's `safe`, response and challenge tables are freed at
         # once, not by the cyclic collector
-        self._intern, self._tuples = intern, tuples
-        self.step = functools.lru_cache(maxsize=None)(
-            lambda i: tuple((a, intern(t)) for a, t in sorted(parts.moves(tuples[i]), key=_move_order))
-        )
-        # ids follow discovery order; closures list states in term order
-        super().__init__(tau_bound, 4096, 0, lambda i: _state_order(tuples[i]))
+        self.states = states = _States(roots)
+        self.step, self.state, self.term = states.step, states.state, states.__getitem__
+        super().__init__(tau_bound, 4096, 0, states.order)
         self.kind = kind
-
-    def state(self, p: Term):
-        """The id of term p, or None when p holds a part the roots never reach."""
-        try:
-            return self._intern(self.parts.key(canonicalize(p)))
-        except KeyError:
-            return None
-
-    def term(self, i: int) -> Term:
-        return self.parts.term(self._tuples[i])
 
     def respond(self, defn, action):
         return _respond(self.kind, self.closures, defn, action)
@@ -989,7 +962,7 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
         bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
         return Verdict("unknown", kind, bound_report=bound, stats=stats)
     *moves, (final_side, final_action, _, _) = found
-    term, acts = game.term, game.parts.actions
+    term, acts = game.term, game.states.parts.actions
     steps = tuple(TraceStep(side, acts[a], (term(l), term(r)), rolled) for side, a, (l, r), rolled in moves)
     trace = AttackerTrace(kind, (p, q), steps, "no-match", final_side, acts[final_action])
     return Verdict("inequivalent", kind, trace=trace, stats=stats)

@@ -3,9 +3,12 @@
 A certificate is a finite candidate relation checked against the up-to-context
 discipline: every transition of one side must be answered weakly by the other
 so that, after stripping a common parallel context, the residues are again in
-the relation (or already known equivalent, or syntactically equal). A
-certified relation is contained in weak bisimilarity, so certification is a
-sound equivalence proof even for infinite-state terms.
+the relation or syntactically equal. A certified relation is contained in weak
+bisimilarity, so certification is a sound equivalence proof even for
+infinite-state terms. The checker runs over the part-id states of the one
+`semantics._States` table, as exploration and the bounded game do: answers
+are int-coded moves and a context is a common sub-multiset of two states'
+sorted part ids.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
-from .equivalence import AttackerTrace, compute_partition, extract_trace
-from .semantics import Action, Bounds, Lts, SilentClosures, build_lts, components, step, union_lts
-from .syntax import Term, canonical_par, canonicalize, parse, render, term_key
+from .equivalence import AttackerTrace, extract_trace
+from .semantics import Action, Bounds, Lts, SilentClosures, build_lts
+from .syntax import Term, canonicalize, parse, render
 
 
 class ReplayError(AssertionError):
@@ -74,7 +77,7 @@ class Obligation:
     derivative: Term
     answer: Optional[Term]
     context: Optional[Term]  # the stripped parallel part; None means [.]
-    via: str  # 'equal' | 'pair' | 'known'
+    via: str  # 'equal' | 'pair'
 
     def to_json(self) -> dict:
         ctx = "[.]" if self.context is None else render(self.context, compact=True) + " | [.]"
@@ -105,29 +108,8 @@ class CertResult:
         return out
 
 
-class KnownEquivalence:
-    """Finite-state weak-equivalence lookups to discharge certificate residues."""
-
-    def __init__(self, lts: Lts, partition):
-        self.lts = lts
-        self.partition = partition
-        self._index = {s: i for i, s in enumerate(lts.states)}
-
-    @staticmethod
-    def from_terms(terms, bounds: Bounds = Bounds(512, 64)) -> Optional["KnownEquivalence"]:
-        lts = union_lts(list(terms), bounds)
-        if lts.truncated:
-            return None
-        return KnownEquivalence(lts, compute_partition(lts, "weak"))
-
-    def relates(self, p: Term, q: Term) -> bool:
-        i = self._index.get(canonicalize(p))
-        j = self._index.get(canonicalize(q))
-        return i is not None and j is not None and self.partition.relates(i, j)
-
-
-def _weak_answers(closures: SilentClosures, q: Term, action: Action):
-    """q's weak answers to an action, lazily, closest first, at most
+def _weak_answers(closures: SilentClosures, q: int, action: int):
+    """State q's weak answers to an action id, lazily, closest first, at most
     closures.cap of them; and a function that tells, once they are drained,
     whether they are all of them."""
     used = [closures[q]]
@@ -135,12 +117,12 @@ def _weak_answers(closures: SilentClosures, q: Term, action: Action):
 
     def answers():
         nonlocal capped
-        if action.is_tau:
+        if not action:
             yield from used[0]
             return
         emitted = set()
         for u in used[0]:
-            for v in [v for a, v in step(u) if a == action]:
+            for v in [v for a, v in closures.step(u) if a == action]:
                 post = closures[v]
                 used.append(post)
                 for w in post:
@@ -154,63 +136,46 @@ def _weak_answers(closures: SilentClosures, q: Term, action: Action):
     return answers(), lambda: not capped and all(c.states()[1] for c in used)
 
 
-def _strip_candidates(x: Term, y: Term, discipline: str):
-    """Residue pairs after removing a shared parallel part, largest part first.
+def _strip_candidates(x: tuple, y: tuple, discipline: str):
+    """Residue pairs of part-id states x and y after removing a common
+    sub-multiset of their parts, the largest first.
 
-    Yields (context_term_or_None, residue_x, residue_y); restricted to parallel
-    contexts T | [.], with T = 0 giving plain matching.
+    Yields (context, residue_x, residue_y), all sorted part-id tuples:
+    parallel contexts T | [.], with T = 0, the empty context, first, which is
+    plain matching. Part ids follow term order, so the candidates come in the
+    order of the contexts' parts as terms.
     """
-    yield None, x, y
+    yield (), x, y
     if discipline != "upto-context":
         return
-    cx, cy = components(x), components(y)
-    common = cx & cy
-    if not common:
-        return
-    items = sorted(common.items(), key=lambda kv: term_key(kv[0]))
-    choices = [range(count, -1, -1) for _t, count in items]
-    vectors = sorted(
-        itertools.product(*choices),
-        key=lambda v: (-sum(v), v),
-    )
+    cx, cy = Counter(x), Counter(y)
+    common = sorted((cx & cy).items())
+    vectors = sorted(itertools.product(*[range(count, -1, -1) for _q, count in common]), key=lambda v: (-sum(v), v))
     for vec in vectors:
-        if not any(vec):
-            continue
-        taken = Counter()
-        for (t, _c), k in zip(items, vec):
-            if k:
-                taken[t] = k
-        rx = canonical_par(list((cx - taken).elements()))
-        ry = canonical_par(list((cy - taken).elements()))
-        yield canonical_par(list(taken.elements())), rx, ry
+        if any(vec):
+            taken = Counter({q: k for (q, _c), k in zip(common, vec)})
+            rx, ry = (tuple(sorted((c - taken).elements())) for c in (cx, cy))
+            yield tuple(sorted(taken.elements())), rx, ry
 
 
-def check_certificate(cert: Certificate, known_equiv: Optional[KnownEquivalence] = None) -> CertResult:
+def check_certificate(cert: Certificate) -> CertResult:
     """Discharge every transition obligation of every pair, both directions.
 
-    Refuted only when the weak-answer search space was exhausted within the
-    budget; a capped search that found nothing is budget exhaustion, not a
-    refutation.
+    The checker plays over the part-id states of one `semantics._States`
+    table of the pairs' parts, and builds terms only for its obligations and
+    failure. Refuted only when the weak-answer search space was exhausted
+    within the budget; a capped search that found nothing is budget
+    exhaustion, not a refutation.
     """
-    rel = set()
-    for p, q in cert.pairs:
-        rel.add((p, q))
-        rel.add((q, p))
-
-    def membership(a: Term, b: Term) -> Optional[str]:
-        if a == b:
-            return "equal"
-        if (a, b) in rel:
-            return "pair"
-        if known_equiv is not None and known_equiv.relates(a, b):
-            return "known"
-        return None
-
-    closures = SilentClosures(step, None, cert.closure_budget)
+    states = semantics._States([side for pair in cert.pairs for side in pair])
+    keys, acts = states.tuples, states.parts.actions
+    ids = [tuple(map(states.state, pair)) for pair in cert.pairs]
+    rel = {(keys[i], keys[j]) for p, q in ids for i, j in ((p, q), (q, p))}
+    closures = SilentClosures(states.step, None, cert.closure_budget, 0, states.order)
     obligations = []
     exhausted = False
     probe = Bounds(min(cert.closure_budget, 64), 16)
-    for pair in cert.pairs:
+    for pair, (p, q) in zip(cert.pairs, ids):
         flags = [build_lts(side, probe).diverges[0] for side in pair]
         if {flags[0], flags[1]} == {semantics.DIV_YES, semantics.DIV_NO}:
             return CertResult(
@@ -224,15 +189,16 @@ def check_certificate(cert: Certificate, known_equiv: Optional[KnownEquivalence]
             )
         if semantics.DIV_UNKNOWN in flags:
             exhausted = True
-        for chal, defn, direction in ((pair[0], pair[1], "left"), (pair[1], pair[0], "right")):
-            for action, deriv in step(chal):
+        for chal, defn, direction in ((p, q, "left"), (q, p, "right")):
+            for action, deriv in states.step(chal):
                 candidates, completeness = _weak_answers(closures, defn, action)
                 found = None
                 for answer in candidates:
-                    for ctx, rx, ry in _strip_candidates(deriv, answer, cert.discipline):
-                        via = membership(rx, ry)
+                    for ctx, rx, ry in _strip_candidates(keys[deriv], keys[answer], cert.discipline):
+                        via = "equal" if rx == ry else "pair" if (rx, ry) in rel else None
                         if via is not None:
-                            found = Obligation(pair, direction, action, deriv, answer, ctx, via)
+                            context = states.parts.term(ctx) if ctx else None
+                            found = Obligation(pair, direction, acts[action], states[deriv], states[answer], context, via)
                             break
                     if found is not None:
                         break
@@ -245,8 +211,8 @@ def check_certificate(cert: Certificate, known_equiv: Optional[KnownEquivalence]
                         failure={
                             "pair": [render(pair[0], compact=True), render(pair[1], compact=True)],
                             "direction": direction,
-                            "action": action.label(),
-                            "derivative": render(deriv, compact=True),
+                            "action": acts[action].label(),
+                            "derivative": render(states[deriv], compact=True),
                             "reason": "no-answer",
                         },
                     )
@@ -382,7 +348,7 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
     steps), and the final challenge is unanswerable or the final pair differs
     in divergence. Raises ReplayError otherwise."""
     game = equivalence._OnTheFly(trace.kind, tau_bound, trace.start)
-    action_id = {a: i for i, a in enumerate(game.parts.actions)}
+    action_id = {a: i for i, a in enumerate(game.states.parts.actions)}
     cur = tuple(game.state(t) for t in trace.start)
     for st in trace.steps:
         # a term holding a part the start never reaches has state None, which

@@ -110,15 +110,6 @@ def _subst(p: Term, x: str, a: Term) -> Term:
 # the first of X, X0, X1, ... that no variable or binder there names.
 
 
-def _fresh_replicator(avoid) -> str:
-    i = 0
-    while True:
-        cand = f"c{i}"
-        if cand not in avoid:
-            return cand
-        i += 1
-
-
 def derived_replication(p: Term) -> Term:
     """Replication encoding of closed p."""
     if free_vars(p):
@@ -130,7 +121,7 @@ def _build_replication(p: Term, guard: Optional[Term], avoid) -> Term:
     """guard carries the prefix of the guarded form (an input or output node
     whose own continuation is ignored)."""
     terms = (p,) if guard is None else (p, guard)
-    c = _fresh_replicator(set(avoid).union(*map(names, terms)))
+    c = fresh_name("c", {"c"}.union(avoid, *map(names, terms)))  # c0, c1, ...
     subs = [sub for t in terms for sub in subterms(t)]
     taken = {t.name for t in subs if isinstance(t, Var)} | {t.var for t in subs if isinstance(t, HoInput)}
     x = fresh_name("X", taken)

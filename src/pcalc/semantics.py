@@ -8,18 +8,18 @@ explicitly: a frontier state is one whose outgoing transitions were never
 expanded, and downstream analyses must treat such graphs as partial.
 
 Without restriction a state is a multiset of sequential parts, and every part
-a reachable state holds is reached by stepping the roots' parts. Exploration
-numbers those parts once, in term order, and explores states as sorted tuples
-of part ids: a move replaces one id, or two for a communication, by the ids of
-the derivatives, and a graph builds a state's term only when it is read.
-The first-order bounded game of `equivalence` numbers the same tuples as it
-meets them and plays over those ids.
+a reachable state holds is reached by stepping the roots' parts. Those parts
+are numbered once, in term order, and states are sorted tuples of part ids: a
+move replaces one id, or two for a communication, by the ids of the
+derivatives. One table, `_States`, numbers the tuples and builds a state's
+term only when it is read; graph exploration, the first-order bounded game of
+`equivalence` and the certificate checker of `evidence` all run over it.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 
 from . import syntax
@@ -259,11 +259,6 @@ class _Parts:
         return out
 
 
-def components(p: Term) -> Counter:
-    """Multiset of parallel components of a canonical term."""
-    return Counter(_parts_of(p))
-
-
 # ---------------------------------------------------------------------------
 # Bounded graphs
 
@@ -367,39 +362,80 @@ def union_lts(terms, bounds: Bounds = Bounds()) -> Lts:
     Deterministic: states are numbered in BFS discovery order with term-order
     tie-breaking among one state's newly discovered successors. A state is
     either fully expanded or left on the frontier untouched. States are
-    explored as sorted tuples of part ids (see `_Parts` and `_States`).
+    explored as sorted tuples of part ids, numbered by one `_States` table,
+    which the graph keeps, sealed, as its states.
     """
-    roots = [canonicalize(t) for t in terms]
-    parts = _Parts([q for r in roots for q in _parts_of(r)], closed=True)
-    index: dict = {}  # each state's number
-    initials = [index.setdefault(parts.key(r), len(index)) for r in roots]
-    keys = list(index)
+    states = _States(terms)
+    initials = [states.state(r) for r in terms]
+    # not the memoised `step`: a state's new targets are numbered only once
+    # the state bound admits them all, and the table's rows sort by number
+    ids, keys, moves_of = states.ids, states.tuples, states.parts.moves
     depth = [0] * len(keys)
     table = []  # per state: sorted (action id, target) pairs; () on the frontier
     frontier = set()
     for pos, key in enumerate(keys):  # runs on over the states it appends
         within = depth[pos] < bounds.max_depth
-        moves = parts.moves(key) if within else ()
-        new_targets = {t for _a, t in moves if t not in index}
+        moves = moves_of(key) if within else ()
+        new_targets = {t for _a, t in moves if t not in ids}
         if not within or len(keys) + len(new_targets) > bounds.max_states:
             frontier.add(pos)  # at the depth bound, or its successors would pass the state bound
             table.append(())
         else:
             for t in sorted(new_targets, key=_state_order):
-                index[t] = len(keys)
-                keys.append(t)
+                states.number(t)
                 depth.append(depth[pos] + 1)
-            table.append(tuple(sorted([(a, index[t]) for a, t in moves])))
-    states = _States(parts, keys, dict(zip(initials, roots)))
-    return Lts(states, table, tuple(initials), frozenset(frontier), actions=parts.actions)
+            table.append(tuple(sorted([(a, ids[t]) for a, t in moves])))
+    states.seal()
+    return Lts(states, table, tuple(initials), frozenset(frontier), actions=states.parts.actions)
 
 
 class _States:
-    """An explored graph's state terms, read as a list: the roots' as given,
-    and state i's built from its part-id tuple `tuples[i]` on first read."""
+    """The one table of numbered part-id states: over the closed `_Parts` of
+    `roots`, it numbers a sorted part-id tuple the first time it sees it
+    (`number`, `state` for a term). Graph exploration, the first-order
+    bounded game and certificates all read their states through it.
 
-    def __init__(self, parts: _Parts, tuples: list, terms: dict):
-        self.parts, self.tuples, self.terms = parts, tuples, terms
+    `step(i)` is state i's moves as (action id, state id) pairs, sorted by
+    action, then target in term order, and memoised; `order(i)` is the sort
+    key of state i in term order. Both close over the table's dict and list
+    and the parts' moves, not over the table, so a game or checker holding
+    them ties no reference cycle. Read as a list, the table gives state i's
+    term, built on first read and kept.
+    """
+
+    def __init__(self, roots):
+        self.parts = parts = _Parts([q for r in roots for q in _parts_of(canonicalize(r))], closed=True)
+        ids, tuples = {}, []
+        self.ids, self.tuples, self.terms = ids, tuples, {}
+
+        def number(t: tuple) -> int:
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(tuples)
+                tuples.append(t)
+            return i
+
+        moves = parts.moves
+        self.number = number
+        self.step = functools.lru_cache(maxsize=None)(
+            lambda i: tuple((a, number(t)) for a, t in sorted(moves(tuples[i]), key=_move_order))
+        )
+        self.order = lambda i: _state_order(tuples[i])
+
+    def seal(self):
+        """Drops the numbering once no state is left to number, as after a
+        graph's exploration, so the graph does not keep a second index of
+        its states: the table then reads as a list only."""
+        self.ids.clear()
+        self.number = self.step = None
+
+    def state(self, p: Term):
+        """The id of term p, numbered on first sight, or None when p holds a
+        part the roots never reach."""
+        try:
+            return self.number(self.parts.key(canonicalize(p)))
+        except KeyError:
+            return None
 
     def __len__(self):
         return len(self.tuples)

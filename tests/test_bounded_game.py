@@ -11,6 +11,8 @@ positions, where `pcalc.semantics.step` steps each distinct part once.
 import itertools
 import random
 
+import pytest
+
 from pcalc import equivalence
 from pcalc.equivalence import (
     CCSM_KINDS,
@@ -380,3 +382,28 @@ def test_silent_closures_stop_at_bound_and_cap():
     bfs = [canonicalize(parse(t)) for t in ("a.'b | 'a | b", "'b | b", "0")]
     assert list(closure) == bfs
     assert closure.states() == (tuple(sorted(bfs, key=term_key)), True)
+
+
+# ROADMAP 1a: bounded weak games that cut the defender's silent closures and
+# report a refutation that the complete graph denies. Repro A's trace fails
+# replay; Repro B's passes replay at tau_bound 64, so replay alone is no fix.
+UNSOUND_REPROS = [
+    ("a.a.a.a.a.a.a.a.'d | !a | !'a | !d", "'d | !a | !'a | !d", 3, 2, None, 10),
+    (
+        "'d.d.a.a.d.0 | a.'a.d.d.0 | 'd.a.a.d.d.0 | !a | !'a | !'a",
+        "d.d.0 | 'd.a.a.d.d.0 | 'd.d.a.a.d.0 | !a | !'a | !'a",
+        8,
+        3,
+        2,
+        154,
+    ),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1a")
+@pytest.mark.parametrize("left, right, max_states, depth, tau_bound, states", UNSOUND_REPROS, ids=["A", "B"])
+def test_bounded_weak_game_does_not_refute_an_equivalent_pair(left, right, max_states, depth, tau_bound, states):
+    p, q = parse(left), parse(right)
+    full = decide(p, q, "weak")
+    assert (full.outcome, full.stats["states"]) == ("equivalent", states)
+    assert decide(p, q, "weak", Bounds(max_states, 64), depth, tau_bound).outcome != "inequivalent"

@@ -10,7 +10,6 @@ from pcalc.evidence import (
     AndF,
     Certificate,
     DiamondF,
-    KnownEquivalence,
     NotF,
     ReplayError,
     TrueF,
@@ -114,15 +113,12 @@ def test_certificate_budget_exhausted_on_growth_pair():
 
 
 def test_certificate_known_equivalence_discharge():
+    # the residues a | a and a.a are weakly equivalent, yet no pair of the
+    # relation holds them, so the certificate is refuted
     p = parse("e.(a | a)")
     q = parse("e.(a.a)")
-    known = KnownEquivalence.from_terms([parse("a | a"), parse("a.a")])
-    assert known is not None
     refused = check_certificate(Certificate(((p, q),), "upto-context", 64))
     assert refused.outcome == "refuted"
-    accepted = check_certificate(Certificate(((p, q),), "upto-context", 64), known_equiv=known)
-    assert accepted.outcome == "certified"
-    assert any(o.via == "known" for o in accepted.obligations)
 
 
 def test_certificate_json_roundtrip(tmp_path):

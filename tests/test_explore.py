@@ -371,3 +371,4 @@ def test_graph_footprint_on_the_w2_variant():
     assert lts.num_states() == 2550 and not lts.truncated
     assert per_state < 1
     assert retained < 2.2 * 2**20  # 1.99 MiB measured, and a 10% margin
+    assert not lts.states.ids  # the explored graph's table keeps no tuple -> id dict

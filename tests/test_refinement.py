@@ -50,13 +50,17 @@ from pcalc.semantics import (
     Lts,
     build_lts,
     closures,
-    components,
     union_lts,
 )
-from pcalc.syntax import NIL, InputPrefix, canonicalize, parse
+from pcalc.syntax import NIL, InputPrefix, Nil, Par, canonicalize, parse
 
 # ---------------------------------------------------------------------------
 # Reference implementation (verbatim)
+
+
+def components(p) -> Counter:
+    """Multiset of parallel components of a canonical term."""
+    return Counter(() if isinstance(p, Nil) else p.parts if isinstance(p, Par) else (p,))
 
 
 def _tau_adjacency(lts: Lts):

@@ -203,15 +203,16 @@ def test_read_silent_closures_are_freed_without_the_cyclic_collector():
             assert ref() is None
         finally:
             gc.enable()
-    # a finished first-order game too: its memoised step and its closures'
-    # state order hold the table of interned states, not the game
+    # a finished first-order game too, with its state table and parts: the
+    # table's memoised step and state order close over its dict and list and
+    # the parts' moves, and nothing the parts hold refers back to the table
     p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
     game = equivalence._OnTheFly("weak", 7, (p, q))
     assert game.play(game.state(p), game.state(q), 7)[0] is None
-    ref = weakref.ref(game)
+    refs = [weakref.ref(x) for x in (game, game.states, game.states.parts)]
     gc.disable()
     try:
         del game
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
