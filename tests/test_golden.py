@@ -1,11 +1,13 @@
 """Outputs pinned byte for byte: the corpus run and the two weak context
 games whose cost had grown with their terms, captured before the part-by-part
 canonicalization of closed higher-order parallels; and certificate results,
-captured before the checker moved from terms to part-id states."""
+captured before the checker moved from terms to part-id states; and the
+hashes of the output differential (`differential.py`)."""
 
 import json
 from pathlib import Path
 
+import differential
 import pytest
 
 from pcalc.cli import run
@@ -69,3 +71,8 @@ def test_certificate_results_match_golden_output():
     rows = [f"{json.dumps(name)}: {json.dumps(result)}" for name, result in _certificate_results().items()]
     got = "{\n" + ",\n".join(rows) + "\n}\n"  # one certificate a line
     assert got == (GOLDEN / "certificates.json").read_text(encoding="utf-8")
+
+
+def test_outputs_match_the_differential():
+    changed = differential.changed_labels(differential.outputs())
+    assert not changed, f"{len(changed)} outputs changed, first: {changed[:10]}"
