@@ -172,44 +172,34 @@ def _parse_family(spec, dialect="hoccsm"):
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     kind = args.equiv
-    dialect = args.dialect
-    if kind.startswith("context-") and dialect is None:
-        dialect = "hoccsm"
-    terms = _load_terms(args.files, dialect)
+    context = kind.startswith("context-")
+    terms = _load_terms(args.files, args.dialect or ("hoccsm" if context else None))
     if len(terms) != 2:
         print("check needs exactly two terms (two files or one pair file)", file=sys.stderr)
         return EXIT_USAGE
     (p, dp), (q, dq) = terms
-    if kind.startswith("context-"):
+    if context:
         fam = None
         if args.inputs_family or args.contexts_family:
             base = TestFamilies.default(p, q)
             inputs = _parse_family(args.inputs_family) if args.inputs_family else base.inputs
-            if args.contexts_family:
-                contexts = tuple(Context(t) for t in _parse_family(args.contexts_family))
-            else:
-                contexts = base.contexts
+            contexts = tuple(map(Context, _parse_family(args.contexts_family))) if args.contexts_family else base.contexts
             fam = TestFamilies(tuple(inputs), contexts)
         verdict = context_game(p, q, kind.split("-", 1)[1], args.game_depth, fam, args.tau_bound)
-        payload = verdict.to_json()
-        payload["stats"]["millis"] = int((time.perf_counter() - started) * 1000)
-        if args.json:
-            print(_dump(payload))
-        else:
-            print(payload["outcome"])
-        return EXIT_NO if verdict.outcome == "inequivalent" else EXIT_UNKNOWN
-    if kind != "sc" and ("hoccsm" in (dp, dq)):
+    elif kind != "sc" and "hoccsm" in (dp, dq):
         print(f"--equiv {kind} is first-order only; use context-strong/context-weak", file=sys.stderr)
         return EXIT_USAGE
-    verdict = decide(p, q, kind, Bounds(args.max_states, args.max_depth), args.game_depth, args.tau_bound)
+    else:
+        verdict = decide(p, q, kind, Bounds(args.max_states, args.max_depth), args.game_depth, args.tau_bound)
     payload = verdict.to_json()
     payload["stats"]["millis"] = int((time.perf_counter() - started) * 1000)
     if args.json:
         print(_dump(payload))
     else:
         print(verdict.outcome)
-        if verdict.trace is not None and verdict.trace.reason == "no-match":
-            print(f"attacker: {verdict.trace.final_side} plays {verdict.trace.final_action.label()}")
+        final = payload.get("trace", {}).get("final")
+        if final:
+            print(f"attacker: {final['side']} plays {final['action']}")
     return {"equivalent": EXIT_YES, "inequivalent": EXIT_NO, "unknown": EXIT_UNKNOWN}[verdict.outcome]
 
 

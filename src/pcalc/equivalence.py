@@ -113,6 +113,7 @@ class TraceStep:
     action: Action
     after: tuple  # (left term, right term)
     rolled_back: bool = False  # defender advanced to an intermediate state only
+    context: str = ""  # in a context game, the context an output answer was plugged into
 
     def to_json(self) -> dict:
         out = {
@@ -122,6 +123,8 @@ class TraceStep:
         }
         if self.rolled_back:
             out["rolled_back"] = True
+        if self.context:
+            out["context"] = self.context
         return out
 
 
@@ -796,8 +799,8 @@ def _only_in(left: Partition, right: Partition) -> list:
 # Bounded on-the-fly games
 #
 # For graphs that truncate, equivalence is semi-decided: a refutation found
-# within the depth bound is sound, everything else is only "no distinction up
-# to this depth". Defender weak moves explore at most tau_bound silent steps
+# within the depth bound is sound; finding none is `unknown`, up to the depth
+# and tau_bound. Defender weak moves explore at most tau_bound silent steps
 # on each side of the answer.
 
 
@@ -895,7 +898,8 @@ class _Game:
 
     def play(self, p, q, depth):
         """The refutation found first by deepening the budget up to depth, or
-        None; and the game's stats."""
+        None; the bounds that cut the search short when it found none; and
+        the game's stats."""
         found = None
         for budget in range(1, depth + 1):
             found = self.attack(p, q, budget)
@@ -908,7 +912,8 @@ class _Game:
             "responses": len(self._responses),
             "closures_cut": self.closures_cut,
         }
-        return found, stats
+        bound = None if found else {"no_distinction_up_to": depth, "tau_bound": self.closures.bound}
+        return found, bound, stats
 
 
 class _OnTheFly(_Game):
@@ -950,16 +955,15 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
 
     A returned refutation is a concrete attacker strategy and is sound as long
     as tau_bound covers the defender's silent moves; otherwise the verdict is
-    unknown with a no-distinction bound report.
+    unknown, its bound naming the depth and tau_bound.
     """
     if kind not in CCSM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     tau_bound = _game_tau_bound(depth, tau_bound)
     p, q = canonicalize(p), canonicalize(q)
     game = _OnTheFly(kind, tau_bound, (p, q))
-    found, stats = game.play(game.state(p), game.state(q), depth)
+    found, bound, stats = game.play(game.state(p), game.state(q), depth)
     if found is None:
-        bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
         return Verdict("unknown", kind, bound_report=bound, stats=stats)
     *moves, (final_side, final_action, _, _) = found
     term, acts = game.term, game.states.parts.actions
@@ -985,7 +989,9 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     stats = {"states": lts.num_states()}
     if not lts.truncated:
         return check_pair(lts, s, t, kind)
-    # truncated: sound refutations only
+    # truncated: every kind is reflexive, and otherwise sound refutations only
+    if s == t:
+        return Verdict("equivalent", kind, stats=stats)
     div_l, div_r = lts.diverges[s], lts.diverges[t]
     if {div_l, div_r} == {semantics.DIV_YES, semantics.DIV_NO}:
         trace = AttackerTrace(kind, (lts.states[s], lts.states[t]), (), "divergence-mismatch")

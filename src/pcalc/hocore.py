@@ -6,7 +6,7 @@ The input rule is infinitely branching, so visible input transitions are
 instantiated over a finite test family; communication always transmits the
 actual payload. Because the output clause quantifies over all receiving
 contexts, equivalence is never claimed: verdicts are either a concrete
-refutation or "no distinction up to the given depth".
+refutation or `unknown`, naming the depth and `tau_bound` that cut the game.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivalence import _Game, _game_tau_bound
+from .equivalence import AttackerTrace, TraceStep, Verdict, _Game, _game_tau_bound
 from .syntax import (
     NIL,
     GuardedRepl,
@@ -294,52 +294,27 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
 
 
 @dataclass
-class HoTraceStep:
-    side: str
-    action: HoAction
-    after: tuple  # (left term, right term)
-    context: str = ""  # context picked at an output fork, if any
-
-    def to_json(self) -> dict:
-        out = {
-            "side": self.side,
-            "action": self.action.label(),
-            "after": [render(self.after[0], compact=True), render(self.after[1], compact=True)],
-        }
-        if self.context:
-            out["context"] = self.context
-        return out
-
-
-@dataclass
 class HoVerdict:
-    outcome: str  # 'inequivalent' | 'no-distinction'
-    mode: str
-    depth: int
+    """A context game's verdict. It renders as a `Verdict` with an
+    `AttackerTrace`, plus the test families it used; its own trace lists
+    the steps before the final challenge."""
+
+    outcome: str  # 'inequivalent' | 'unknown'
+    kind: str  # 'context-strong' | 'context-weak'
     trace: Optional[list] = None
-    families: Optional[TestFamilies] = None
+    families: TestFamilies = None
     start: tuple = ()
     final: tuple = ()  # (side, action) of the unanswered challenge
+    bound_report: Optional[dict] = None
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "outcome": self.outcome,
-            "kind": f"context-{self.mode}",
-            "equivalence_claimed": False,
-        }
-        if self.outcome == "no-distinction":
-            out["bound"] = {"no_distinction_up_to": self.depth}
+        trace = None
         if self.trace is not None:
-            out["trace"] = {
-                "start": [render(self.start[0], compact=True), render(self.start[1], compact=True)],
-                "steps": [s.to_json() for s in self.trace],
-                "reason": "no-match",
-                "final": {"side": self.final[0], "action": self.final[1].label()},
-            }
-        if self.families is not None:
-            out["families_used"] = self.families.to_json()
-        out["stats"] = dict(self.stats)
+            trace = AttackerTrace(self.kind, self.start, tuple(self.trace), "no-match", *self.final)
+        out = Verdict(self.outcome, self.kind, trace=trace, bound_report=self.bound_report, stats=self.stats).to_json()
+        out["equivalence_claimed"] = False
+        out["families_used"] = self.families.to_json()
         return out
 
 
@@ -397,11 +372,11 @@ def context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies = No
     if not fam.inputs or not fam.contexts:
         raise ValueError("test families must not be empty")
     tau_bound = _game_tau_bound(depth, tau_bound)
-    found, stats = _ContextGame(mode, fam, tau_bound).play(p, q, depth)
+    found, bound, stats = _ContextGame(mode, fam, tau_bound).play(p, q, depth)
+    kind = f"context-{mode}"
     if found is None:
-        return HoVerdict("no-distinction", mode, depth, families=fam, start=(p, q), stats=stats)
-    *moves, (final_side, final_action, _, _) = found
-    steps = [HoTraceStep(side, action, cont, label) for side, action, cont, label in moves]
-    final = (final_side, final_action)
-    return HoVerdict("inequivalent", mode, depth, trace=steps, families=fam, start=(p, q), final=final, stats=stats)
+        return HoVerdict("unknown", kind, families=fam, start=(p, q), bound_report=bound, stats=stats)
+    *moves, final = found  # the final challenge: (side, action, None, None)
+    steps = [TraceStep(side, action, cont, context=label) for side, action, cont, label in moves]
+    return HoVerdict("inequivalent", kind, steps, fam, (p, q), final[:2], stats=stats)
 

@@ -154,7 +154,8 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
         and strong_pq.outcome == "inequivalent"
         and strong_pq.trace == []
         and strong_pq.final == ("right", HoAction("in", "a", NIL))
-        and weak_pq.outcome == "no-distinction"
+        and weak_pq.outcome == "unknown"
+        and weak_pq.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1}
     )
     with capsys.disabled():
         _report(
@@ -169,7 +170,8 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
     assert two_way_tau
     assert strong_pq.outcome == "inequivalent" and strong_pq.trace == []
     assert strong_pq.final == ("right", HoAction("in", "a", NIL))
-    assert weak_pq.outcome == "no-distinction"
+    assert weak_pq.outcome == "unknown"
+    assert weak_pq.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1}
 
 
 def test_criterion_3_replication_invariance_certificates(capsys):

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from pcalc.cli import build_parser, run
+from pcalc.equivalence import CCSM_KINDS
 
 
 def write(tmp_path, name, text):
@@ -60,6 +61,16 @@ def test_check_weak_growth_pair_bounded(growth_pair, capsys):
     assert json.loads(capsys.readouterr().out)["bound"]["tau_bound"] == 6
 
 
+@pytest.mark.parametrize("kind", CCSM_KINDS)
+def test_check_a_term_against_itself_on_a_truncated_graph(kind, tmp_path, capsys):
+    # every kind is reflexive: one state for both roots is equivalent even
+    # when the graph is cut, here at its first state
+    r = write(tmp_path, "r.proc", "!a.b | !'a\n")
+    assert run(["check", "--equiv", kind, "--max-states", "1", "--json", r, r]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["outcome"] == "equivalent" and blob["stats"]["states"] == 1
+
+
 def test_check_sc(tmp_path):
     a = write(tmp_path, "a.proc", "a.0 | b.0\n")
     b = write(tmp_path, "b.proc", "b | a\n")
@@ -82,6 +93,9 @@ def test_check_context_kinds(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["equivalence_claimed"] is False
     assert "families_used" in blob
+    # text mode names the unanswered challenge, as it does for first-order kinds
+    assert run(["check", "--equiv", "context-strong", left, right]) == 1
+    assert capsys.readouterr().out == "inequivalent\nattacker: right plays 'd<0>\n"
     same = write(tmp_path, "s.proc", "a(X).X\n")
     assert run(["check", "--equiv", "context-weak", same, same]) == 2
 
@@ -116,7 +130,9 @@ def test_check_context_tau_bound(tmp_path, capsys):
     right = write(tmp_path, "r.proc", "!(a(X).0 | 'a<0>.0) | a(X).0 | 'a<0>.0\n")
     code = run(["check", "--equiv", "context-weak", "--game-depth", "2", "--tau-bound", "1", "--json", left, right])
     assert code == 2
-    assert json.loads(capsys.readouterr().out)["outcome"] == "no-distinction"
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["outcome"] == "unknown"
+    assert blob["bound"] == {"no_distinction_up_to": 2, "tau_bound": 1}
 
 
 def test_check_rejects_out_of_range_game_bounds(tmp_path, capsys):

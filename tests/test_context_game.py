@@ -1,8 +1,10 @@
 """The context game against a frozen reference.
 
-The reference below is the earlier implementation, kept verbatim: its own
-attacker search, silent closures and output answers, a fresh `safe` memo per
-deepening budget and no work counters. `pcalc.hocore.context_game` plays the
+The reference below is the earlier implementation, its game kept verbatim:
+its own attacker search, silent closures and output answers, a fresh `safe`
+memo per deepening budget and no work counters. Only the verdict it builds
+uses the current records: `TraceStep`s, and `unknown` with a bound naming the
+depth and tau_bound when it finds nothing. `pcalc.hocore.context_game` plays the
 same game through the attacker search shared with the first-order game, and
 must give the same verdicts, traces and JSON, apart from the work counters it
 adds to the stats.
@@ -10,9 +12,9 @@ adds to the stats.
 
 import random
 
+from pcalc.equivalence import TraceStep
 from pcalc.genterms import random_hoccsm
 from pcalc.hocore import (
-    HoTraceStep,
     HoVerdict,
     OpenTermError,
     TestFamilies,
@@ -159,22 +161,24 @@ def ref_context_game(p: Term, q: Term, mode: str, depth: int, fam: TestFamilies 
     if tau_bound is None:
         tau_bound = max(depth, 4)
     game = _HoGame(mode, fam, tau_bound)
+    kind = f"context-{mode}"
     found = None
     for budget in range(1, depth + 1):
         found = game.attack(p, q, budget, {})
         if found is not None:
             break
     if found is None:
-        return HoVerdict("no-distinction", mode, depth, families=fam, start=(p, q), stats={"depth": depth})
+        bound = {"no_distinction_up_to": depth, "tau_bound": tau_bound}
+        return HoVerdict("unknown", kind, families=fam, start=(p, q), bound_report=bound, stats={"depth": depth})
     steps = []
     final = ()
     for side, action, cont, ctx_label in found:
         if cont is None:
             final = (side, action)
             break
-        steps.append(HoTraceStep(side, action, cont, ctx_label))
+        steps.append(TraceStep(side, action, cont, context=ctx_label))
     return HoVerdict(
-        "inequivalent", mode, depth, trace=steps, families=fam, start=(p, q), final=final, stats={"depth": depth}
+        "inequivalent", kind, trace=steps, families=fam, start=(p, q), final=final, stats={"depth": depth}
     )
 
 
@@ -232,7 +236,7 @@ def test_context_game_matches_reference_on_random_pairs():
                 outcomes.add(new.outcome)
                 cut += new.stats["closures_cut"] > 0
                 steps += bool(new.trace)
-    assert outcomes == {"inequivalent", "no-distinction"}
+    assert outcomes == {"inequivalent", "unknown"}
     assert cut > 0 and steps > 0
 
 

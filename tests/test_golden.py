@@ -7,9 +7,9 @@ hashes of the output differential (`differential.py`)."""
 import json
 from pathlib import Path
 
-import differential
 import pytest
 
+import differential
 from pcalc.cli import run
 from pcalc.evidence import Certificate, check_certificate
 from pcalc.hocore import context_game, derived_replication
