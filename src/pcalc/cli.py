@@ -14,7 +14,7 @@ import sys
 import time
 import traceback
 
-from . import corpus, genterms
+from . import corpus, genterms, semantics
 from .equivalence import CCSM_KINDS, compute_partition, classify_tau, decide
 from .evidence import check_certificate, load_certificate
 from .hocore import Context, OpenTermError, TestFamilies, context_game
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--contexts-family", help="comma-separated terms with hole variable X")
     p_check.add_argument("--json", action="store_true")
 
-    p_div = sub.add_parser("diverges", parents=[bounds], help="divergence verdict for a term")
+    p_div = sub.add_parser("diverges", help="divergence verdict for a term, decided on the term itself")
     p_div.add_argument("file")
     p_div.add_argument("--json", action="store_true")
 
@@ -142,16 +142,16 @@ def _cmd_parse(args) -> int:
     return EXIT_YES
 
 
-def _load_lts(args):
-    """The bounded state graph of the one first-order term in args.file."""
+def _load_term(args):
+    """The one first-order term in args.file."""
     terms = _load_terms([args.file], None)
     if len(terms) != 1 or terms[0][1] != "ccsm":
         raise ValueError(f"{args.command} takes one first-order term")
-    return build_lts(terms[0][0], Bounds(args.max_states, args.max_depth))
+    return terms[0][0]
 
 
 def _cmd_lts(args) -> int:
-    lts = _load_lts(args)
+    lts = build_lts(_load_term(args), Bounds(args.max_states, args.max_depth))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(lts.to_dot() + "\n")
@@ -204,17 +204,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diverges(args) -> int:
-    lts = _load_lts(args)
-    flag = lts.diverges[lts.initial]
-    if args.json:
-        print(_dump({"diverges": flag, "truncated": lts.truncated, "states": lts.num_states()}))
+    term = _load_term(args)
+    table = semantics._States([term])
+    flag = semantics.silent_run(table.parts, table.tuples[table.state(term)], {})
+    if args.json:  # only the search cap leaves the flag unknown
+        bound = {"bound": {"search_cap": semantics._SILENT_RUN_CAP}} if flag == "unknown" else {}
+        print(_dump({"diverges": flag, **bound}))
     else:
         print(flag)
     return {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[flag]
 
 
 def _cmd_tau_classify(args) -> int:
-    lts = _load_lts(args)
+    lts = build_lts(_load_term(args), Bounds(args.max_states, args.max_depth))
     if lts.truncated:
         print("graph truncated; raise --max-states/--max-depth", file=sys.stderr)
         return EXIT_UNKNOWN

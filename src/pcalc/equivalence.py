@@ -800,8 +800,8 @@ def _only_in(left: Partition, right: Partition) -> list:
 #
 # For graphs that truncate, equivalence is semi-decided: a refutation found
 # within the depth bound is sound; finding none is `unknown`, up to the depth
-# and tau_bound. Defender weak moves explore at most tau_bound silent steps
-# on each side of the answer.
+# and tau_bound, and the closure cap where a closure was cut. Defender weak
+# moves explore at most tau_bound silent steps on each side of the answer.
 
 
 class _Game:
@@ -912,7 +912,8 @@ class _Game:
             "responses": len(self._responses),
             "closures_cut": self.closures_cut,
         }
-        bound = None if found else {"no_distinction_up_to": depth, "tau_bound": self.closures.bound}
+        cut = {"closures_cut": self.closures_cut, "closure_cap": self.closures.cap} if self.closures_cut else {}
+        bound = None if found else {"no_distinction_up_to": depth, "tau_bound": self.closures.bound, **cut}
         return found, bound, stats
 
 
@@ -954,8 +955,9 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
     """Semi-decide a pair by a depth-bounded game over interned part-id states.
 
     A returned refutation is a concrete attacker strategy and is sound as long
-    as tau_bound covers the defender's silent moves; otherwise the verdict is
-    unknown, its bound naming the depth and tau_bound.
+    as tau_bound covers the defender's silent moves. Without one, two roots
+    of one state are equivalent, as every kind is reflexive; other pairs are
+    unknown, the bound naming what cut the search short.
     """
     if kind not in CCSM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -964,7 +966,8 @@ def bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = None)
     game = _OnTheFly(kind, tau_bound, (p, q))
     found, bound, stats = game.play(game.state(p), game.state(q), depth)
     if found is None:
-        return Verdict("unknown", kind, bound_report=bound, stats=stats)
+        outcome, bound = ("equivalent", None) if p == q else ("unknown", bound)
+        return Verdict(outcome, kind, bound_report=bound, stats=stats)
     *moves, (final_side, final_action, _, _) = found
     term, acts = game.term, game.states.parts.actions
     steps = tuple(TraceStep(side, acts[a], (term(l), term(r)), rolled) for side, a, (l, r), rolled in moves)
@@ -992,8 +995,7 @@ def decide(p: Term, q: Term, kind: str, bounds: Bounds = Bounds(), game_depth: i
     # truncated: every kind is reflexive, and otherwise sound refutations only
     if s == t:
         return Verdict("equivalent", kind, stats=stats)
-    div_l, div_r = lts.diverges[s], lts.diverges[t]
-    if {div_l, div_r} == {semantics.DIV_YES, semantics.DIV_NO}:
+    if {lts.diverges[s], lts.diverges[t]} == {semantics.DIV_YES, semantics.DIV_NO}:
         trace = AttackerTrace(kind, (lts.states[s], lts.states[t]), (), "divergence-mismatch")
         return Verdict("inequivalent", kind, trace=trace, stats=stats)
     verdict = bounded_game(p, q, kind, game_depth, tau_bound)

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import equivalence, semantics
 from .equivalence import AttackerTrace, extract_trace
-from .semantics import Action, Bounds, Lts, SilentClosures, build_lts
+from .semantics import Action, Lts, SilentClosures, silent_run
 from .syntax import Term, canonicalize, parse, render
 
 
@@ -174,19 +174,12 @@ def check_certificate(cert: Certificate) -> CertResult:
     closures = SilentClosures(states.step, None, cert.closure_budget, 0, states.order)
     obligations = []
     exhausted = False
-    probe = Bounds(min(cert.closure_budget, 64), 16)
     for pair, (p, q) in zip(cert.pairs, ids):
-        flags = [build_lts(side, probe).diverges[0] for side in pair]
+        flags = [silent_run(states.parts, keys[side], {}) for side in (p, q)]
         if {flags[0], flags[1]} == {semantics.DIV_YES, semantics.DIV_NO}:
-            return CertResult(
-                "refuted",
-                obligations,
-                failure={
-                    "pair": [render(pair[0], compact=True), render(pair[1], compact=True)],
-                    "reason": "divergence-mismatch",
-                    "flags": flags,
-                },
-            )
+            pair_text = [render(side, compact=True) for side in pair]
+            failure = {"pair": pair_text, "reason": "divergence-mismatch", "flags": flags}
+            return CertResult("refuted", obligations, failure=failure)
         if semantics.DIV_UNKNOWN in flags:
             exhausted = True
         for chal, defn, direction in ((p, q, "left"), (q, p, "right")):
@@ -374,8 +367,7 @@ def replay_trace(trace: AttackerTrace, tau_bound: int = 8) -> bool:
         if game.responses(defn, action):
             raise ReplayError("defender still has an answer to the final challenge")
     else:
-        probe = Bounds(512, 32)
-        flags = {build_lts(game.term(side), probe).diverges[0] for side in cur}
+        flags = {silent_run(game.states.parts, game.states.tuples[side], {}) for side in cur}
         if flags != {semantics.DIV_YES, semantics.DIV_NO}:
             raise ReplayError("terminal pair does not mismatch on divergence")
     return True

@@ -532,36 +532,59 @@ def _silent_sccs(lts: Lts) -> SilentSccs:
 # ---------------------------------------------------------------------------
 # Divergence
 #
-# On a complete graph a state diverges iff it tau-reaches a tau-cycle. On a
-# truncated graph a growth witness is also a sound yes: a tau-path s => t
-# whose target's component multiset strictly contains the source's repeats
-# forever, because steps survive added parallel context. The multisets are
-# sorted part-id tuples, an edge-list graph's states' parts numbered first.
+# A state diverges iff it is on a tau-cycle or a silent step leads to a state
+# that diverges; a frontier state is decided on its term by `silent_run`.
 
 
 def _divergence_flags(lts: Lts):
-    sccs = lts.silent_sccs()
-    k = len(sccs.members)
-    yes = [False] * k
-    unknown = [False] * k
-    reach, ids = [], {}  # per SCC, the states its members reach silently; an edge-list graph's part ids
-    if lts.truncated and isinstance(lts.states, _States):
-        keys = lts.states.tuples
-    elif lts.truncated:  # an edge-list graph: its states' parts numbered here
-        keys = [tuple(sorted(ids.setdefault(q, len(ids)) for q in _parts_of(p))) for p in lts.states]
+    sccs, table, memo, flags = lts.silent_sccs(), lts.states, {}, []
+    if lts.truncated and not isinstance(table, _States):  # an edge-list graph: number its states' terms
+        table = _States(table)
+        for p in lts.states:
+            table.state(p)
     for c, scc in enumerate(sccs.members):
-        exits = sccs.exits[c]
-        yes[c] = sccs.cyclic[c] or any(yes[d] for d in exits)
-        if not lts.truncated:
-            continue
-        reach.append(frozenset(scc).union(*(reach[d] for d in exits)))
-        # a growth witness matters only where no cycle is reached already
-        if not yes[c]:
-            yes[c] = any(
-                len(keys[v]) > len(keys[u]) and _within(keys[u], keys[v]) for u in scc for v in reach[c]
-            )
-        unknown[c] = any(u in lts.frontier for u in scc) or any(unknown[d] for d in exits)
-    return [DIV_YES if yes[c] else DIV_UNKNOWN if unknown[c] else DIV_NO for c in sccs.of]
+        after = [flags[d] for d in sccs.exits[c]]
+        if sccs.cyclic[c] or DIV_YES in after:
+            flags.append(DIV_YES)
+        elif scc[0] in lts.frontier:  # a frontier state has no moves, so it is an SCC alone
+            flags.append(silent_run(table.parts, table.tuples[scc[0]], memo))
+        else:
+            flags.append(DIV_UNKNOWN if DIV_UNKNOWN in after else DIV_NO)
+    return [flags[c] for c in sccs.of]
+
+
+# One silent-run search's work cap: a state read counts one, and one more per
+# ancestor it is compared with, so the cap bounds a long path's quadratic time.
+_SILENT_RUN_CAP = 1_000_000
+
+
+def silent_run(parts: _Parts, state: tuple, memo: dict) -> str:
+    """Whether state, a sorted tuple of ids of closed `parts`, has an infinite
+    silent run: 'yes', 'no', or 'unknown' past `_SILENT_RUN_CAP` work. A
+    depth-first search: a run that reaches a state covering an ancestor (as a
+    multiset: equal closes a cycle, larger grows) repeats forever, as steps
+    survive added parallel context, and by Dickson's lemma every infinite run
+    reaches one (Karp and Miller, JCSS 1969). memo keeps answers by state."""
+    path, work, cost = [], [iter([state])], 0  # work[i + 1]: the unread silent moves of path[i]
+    while work:
+        for t in work[-1]:
+            seen = memo.get(t)
+            if seen == DIV_NO:
+                continue
+            if seen == DIV_YES or any(len(u) <= len(t) and _within(u, t) for u in path):
+                memo.update(dict.fromkeys(path, DIV_YES))  # every state on the path reaches t
+                return DIV_YES
+            cost += 1 + len(path)
+            if cost > _SILENT_RUN_CAP:
+                return DIV_UNKNOWN
+            path.append(t)
+            work.append(iter([u for a, u in parts.moves(t) if a == 0]))
+            break
+        else:
+            work.pop()
+            if path:
+                memo[path.pop()] = DIV_NO
+    return DIV_NO
 
 
 def _within(u: tuple, v: tuple) -> bool:

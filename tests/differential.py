@@ -2,7 +2,8 @@
 canonical text, over a fixed corpus, pinned in `tests/golden/outputs.json`.
 
 The outputs: `Lts.to_json()` and `to_dot()` at complete and truncating
-bounds, `decide` verdicts for the five kinds at three bound settings,
+bounds, `Lts.to_json()` of graphs whose flags the search below the frontier
+decides, `decide` verdicts for the five kinds at three bound settings,
 `bounded_game` verdicts with their replays at tau_bound 8 and 64,
 `distinguishing_evidence` on complete graphs and `context_game` verdicts.
 A JSON output's canonical text is `json.dumps(..., sort_keys=True)`; a DOT
@@ -45,6 +46,7 @@ W1 = "a.b.'c.d | 'a.'b.c.'d | b.a.'d | 'b.'a.d | c.'c | !e | !'e"
 W1_TAU = "a.b.'c.d | a.'d | c.'c | 'a.d | 'a.'b.c.'d | !e | !'e"
 W2_VARIANT = "a.b.'c.d.e | 'a.'b.c.'d.'e | b.a.'d.c | 'b.'a.d.'c | 'e.e | !f | !'f"
 W4_FAMILY = "a.a.'d | a.'d | a.a.a.'d | a.'d.'d | a.a.'d.'d | !a | !'a | !d"
+W3 = "a.'b | b.'c | c.'a | 'a | 'b | !d.'e | e | 'd | 'd | a.b.c | 'c.'a"
 NAMED_PAIRS = {
     "w1": (W1, W1_TAU),
     "growth": ("!c.d | !'c | d", "!c.d | !'c | !c"),
@@ -109,6 +111,12 @@ def _graph_outputs(out):
         lts = build_lts(term, bounds)
         out[f"lts {name} json"] = _hash(lts.to_json())
         out[f"lts {name} dot"] = _hash(lts.to_dot())
+    # divergence below the frontier: W3 cut short, and the growth pair cut at
+    # seven states and at depth three
+    out["lts w3 2000/64 json"] = _hash(build_lts(parse(W3), Bounds(2000, 64)).to_json())
+    growth = [parse(t) for t in NAMED_PAIRS["growth"]]
+    for b, bounds in (("7/64", Bounds(7, 64)), ("200/3", Bounds(200, 3))):
+        out[f"lts growth {b} json"] = _hash(union_lts(growth, bounds).to_json())
 
 
 def _pair_outputs(out):

@@ -149,13 +149,17 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
     two_way_tau = (HO_TAU, q) in ho_step(p, fam) and (HO_TAU, p) in ho_step(q, fam)
     strong_pq = context_game(p, q, "strong", 4)
     weak_pq = context_game(p, q, "weak", 2, tau_bound=1)
+    # the bound names the closures that tau_bound 1 cut, and the closure cap
+    cut = weak_pq.stats["closures_cut"]
+    pq_bound = {"no_distinction_up_to": 2, "tau_bound": 1, "closures_cut": cut, "closure_cap": 2048}
     pq_ok = (
         two_way_tau
         and strong_pq.outcome == "inequivalent"
         and strong_pq.trace == []
         and strong_pq.final == ("right", HoAction("in", "a", NIL))
         and weak_pq.outcome == "unknown"
-        and weak_pq.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1}
+        and cut > 0
+        and weak_pq.bound_report == pq_bound
     )
     with capsys.disabled():
         _report(
@@ -170,8 +174,8 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
     assert two_way_tau
     assert strong_pq.outcome == "inequivalent" and strong_pq.trace == []
     assert strong_pq.final == ("right", HoAction("in", "a", NIL))
-    assert weak_pq.outcome == "unknown"
-    assert weak_pq.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1}
+    assert weak_pq.outcome == "unknown" and cut > 0
+    assert weak_pq.bound_report == pq_bound
 
 
 def test_criterion_3_replication_invariance_certificates(capsys):

@@ -169,6 +169,8 @@ def ref_bounded_game(p: Term, q: Term, kind: str, depth: int, tau_bound: int = N
     if kind not in CCSM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     p, q = canonicalize(p), canonicalize(q)
+    if p == q:  # every kind is reflexive
+        return Verdict("equivalent", kind, stats={"depth": depth})
     if tau_bound is None:
         tau_bound = max(depth, 4)
     game = _OnTheFly(kind, tau_bound)
@@ -259,10 +261,17 @@ def _random_pair(rng):
     return p, q
 
 
-def _game_json(verdict):
+def _game_json(verdict, cap=_TAU_CAP):
+    """The verdict's JSON less what the reference does not count: the work
+    counters, and the cut closures an unknown verdict's bound names, which
+    must be the counted ones, with the closure cap."""
     out = verdict.to_json()
+    cut = out["stats"]["closures_cut"]
     for key in GAME_STATS:
         out["stats"].pop(key)
+    if "bound" in out:
+        assert out["bound"].pop("closures_cut", 0) == cut
+        assert out["bound"].pop("closure_cap", None) == (cap if cut else None)
     return out
 
 
@@ -295,7 +304,7 @@ def test_memoised_game_matches_reference_on_random_pairs():
             assert _game_json(new) == ref.to_json(), (i, kind, tau_bound)
             assert set(new.stats) == {"depth", *GAME_STATS}
             outcomes.add(new.outcome)
-    assert outcomes == {"inequivalent", "unknown"}
+    assert outcomes == {"equivalent", "inequivalent", "unknown"}
 
 
 def test_memoised_game_matches_reference_on_growth_pair():
@@ -353,6 +362,20 @@ def test_closures_cut_counts_bounded_defender_closures():
     assert verdict.stats["closures_cut"] >= 1
     # a closure bound beyond the eight silent steps cuts nothing
     assert bounded_game(left, right, "weak", 2, tau_bound=64).stats["closures_cut"] == 0
+
+
+def test_an_unknown_game_bound_names_the_cut_closures():
+    # the growth pair's silent closures never end: tau_bound cuts them, and
+    # the bound names how many, and the closure cap; !a against its
+    # unfolding reads only closures that end, and names neither
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
+    verdict = bounded_game(p, q, "weak", 3)
+    cut = verdict.stats["closures_cut"]
+    assert verdict.outcome == "unknown" and cut > 0
+    assert verdict.bound_report == {"no_distinction_up_to": 3, "tau_bound": 4, "closures_cut": cut, "closure_cap": 4096}
+    uncut = bounded_game(parse("!a"), parse("!a | a"), "weak", 3)
+    assert uncut.outcome == "unknown" and uncut.stats["closures_cut"] == 0
+    assert uncut.bound_report == {"no_distinction_up_to": 3, "tau_bound": 4}
 
 
 def test_the_defender_plays_its_longest_refutation():

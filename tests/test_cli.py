@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from pcalc import semantics
 from pcalc.cli import build_parser, run
 from pcalc.equivalence import CCSM_KINDS
 
@@ -132,7 +133,9 @@ def test_check_context_tau_bound(tmp_path, capsys):
     assert code == 2
     blob = json.loads(capsys.readouterr().out)
     assert blob["outcome"] == "unknown"
-    assert blob["bound"] == {"no_distinction_up_to": 2, "tau_bound": 1}
+    cut = blob["stats"]["closures_cut"]
+    assert cut > 0
+    assert blob["bound"] == {"no_distinction_up_to": 2, "tau_bound": 1, "closures_cut": cut, "closure_cap": 2048}
 
 
 def test_check_rejects_out_of_range_game_bounds(tmp_path, capsys):
@@ -175,13 +178,28 @@ def test_lts_output_is_pinned_on_w1(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["states: 1083", "edges: 8098", "diverges(initial): yes"]
 
 
-def test_diverges_exit_codes(tmp_path):
+def test_diverges_exit_codes(tmp_path, capsys, monkeypatch):
     yes = write(tmp_path, "yes.proc", "!a | !'a\n")
     no = write(tmp_path, "no.proc", "a.'b | 'a\n")
-    unknown = write(tmp_path, "u.proc", "a.(a.(a | 'a) | 'a) | 'a\n")
+    chain = write(tmp_path, "chain.proc", "a.(a.(a | 'a) | 'a) | 'a\n")
     assert run(["diverges", yes]) == 0
     assert run(["diverges", no]) == 1
-    assert run(["diverges", unknown, "--max-depth", "2"]) == 2
+    assert run(["diverges", chain]) == 1  # decided on the term: no graph bound cuts the chain short
+    # the command takes no graph bounds
+    assert run(["diverges", chain, "--max-depth", "2"]) == 3
+    capsys.readouterr()
+    # only the search cap leaves the verdict unknown, and the JSON names it
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 2)
+    assert run(["diverges", chain, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"diverges": "unknown", "bound": {"search_cap": 2}}
+    assert run(["diverges", yes, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"diverges": "yes"}
+
+
+def test_diverges_decides_growth_on_the_term(tmp_path, capsys):
+    path = write(tmp_path, "p1.proc", "!c.d | !'c | d\n")
+    assert run(["diverges", path]) == 0
+    assert capsys.readouterr().out == "yes\n"
 
 
 def test_tau_classify(tmp_path, capsys):
@@ -278,7 +296,7 @@ def test_readme_synopsis_names_every_option():
     assert set(named) == set(commands.choices)
     for command, parser in commands.choices.items():
         options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
-        assert options <= named[command], (command, sorted(options - named[command]))
+        assert options == named[command], (command, sorted(options ^ named[command]))
 
 
 def test_internal_errors_exit_4_not_a_verdict(tmp_path, capsys):

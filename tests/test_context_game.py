@@ -196,10 +196,17 @@ def hparse(text):
 
 
 def _game_json(verdict):
+    """The verdict's JSON less what the reference does not count: the work
+    counters, and the cut closures an unknown verdict's bound names, which
+    must be the counted ones, with the closure cap."""
     out = verdict.to_json()
     assert set(out["stats"]) == {"depth", *GAME_STATS}
+    cut = out["stats"]["closures_cut"]
     for key in GAME_STATS:
         out["stats"].pop(key)
+    if "bound" in out:
+        assert out["bound"].pop("closures_cut", 0) == cut
+        assert out["bound"].pop("closure_cap", None) == (2048 if cut else None)
     return out
 
 
@@ -267,3 +274,17 @@ def test_context_game_counts_cut_closures():
         assert weak.stats["game_positions"] >= 1 and weak.stats["responses"] >= 1
     # strong answers read no silent closure
     assert context_game(bang, unfolded, "strong", 4).stats["closures_cut"] == 0
+
+
+def test_an_unknown_context_game_bound_names_the_cut_closures():
+    # P and Q reach each other silently, so the weak game finds nothing, and
+    # tau_bound 1 cuts the closures of the replicated sides
+    p = hparse("!(a(X).0 | 'a<0>.0)")
+    q = hparse("!(a(X).0 | 'a<0>.0) | a(X).0 | 'a<0>.0")
+    weak = context_game(p, q, "weak", 2, tau_bound=1)
+    cut = weak.stats["closures_cut"]
+    assert weak.outcome == "unknown" and cut > 0
+    assert weak.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1, "closures_cut": cut, "closure_cap": 2048}
+    copycat = context_game(p, p, "weak", 2, tau_bound=1)
+    assert copycat.outcome == "unknown" and copycat.stats["closures_cut"] == 0
+    assert copycat.bound_report == {"no_distinction_up_to": 2, "tau_bound": 1}

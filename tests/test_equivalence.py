@@ -331,9 +331,11 @@ def test_decide_divergence_mismatch_on_truncated_pair():
 
 
 def test_bounded_game_identity_never_distinguishes():
+    # two roots of one state are equivalent, as decide says on a truncated graph
     p = parse("!c.d | !'c | d")
     verdict = bounded_game(p, p, "weak", depth=5)
-    assert verdict.outcome == "unknown"
+    assert verdict.outcome == "equivalent" and verdict.trace is None and verdict.bound_report is None
+    assert decide(p, p, "weak", Bounds(8, 3)).outcome == "equivalent"
 
 
 def test_quasi_strong_is_strictly_finer_than_weak_on_guarded_redundancy():

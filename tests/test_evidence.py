@@ -360,6 +360,34 @@ def test_replay_rejects_a_terminal_pair_with_equal_divergence():
         replay_trace(replace(trace, start=(same, same)))
 
 
+def test_a_long_silent_run_to_divergence_replays():
+    # Forty a-prefixes guard a silent cycle on the left only: the complete
+    # 82-state graph refutes the pair by divergence mismatch at the roots.
+    # Replay and evidence confirm the mismatch on the terms, whatever the
+    # closure bound, by the exact search: a graph probe of 32 silent steps
+    # missed the cycle, 40 steps down, and rejected the trace.
+    guard = "a." * 40
+    p, q = parse(guard + "(!c | !'c) | !'a"), parse(guard + "0 | !'a")
+    verdict = decide(p, q, "weak")
+    assert verdict.outcome == "inequivalent" and verdict.stats["states"] == 82
+    assert verdict.trace.reason == "divergence-mismatch" and not verdict.trace.steps
+    assert replay_trace(verdict.trace, 8) and replay_trace(verdict.trace, 10**6)
+    lts = union_lts([p, q])
+    assert not lts.truncated
+    evidence = distinguishing_evidence(lts, lts.initials[0], lts.initials[-1], "weak")
+    assert evidence.trace == verdict.trace
+
+
+def test_certificate_divergence_past_a_long_silent_run():
+    # the certificate checker decides divergence on the terms too: the left
+    # side's silent cycle lies forty silent steps down, the right has none
+    guard = "a." * 40
+    cert = Certificate(((parse(guard + "(!c | !'c) | !'a"), parse(guard + "0 | !'a")),), "upto-context", 4)
+    result = check_certificate(cert)
+    assert result.outcome == "refuted"
+    assert result.failure["reason"] == "divergence-mismatch" and result.failure["flags"] == ["yes", "no"]
+
+
 def test_exact_inequivalence_traces_replay_for_all_kinds():
     lts = union_lts([parse("a.'b | 'a"), parse("'b")], Bounds(64, 64))
     s, t = lts.initials

@@ -1,12 +1,13 @@
 import gc
 import json
+import random
 import weakref
 
 import pytest
 
 from oracles import naive_explore, naive_step
-from pcalc import equivalence
-from pcalc.genterms import random_ccsm, rng_from_env
+from pcalc import equivalence, semantics
+from pcalc.genterms import random_ccsm, random_stabilizing, rng_from_env
 from pcalc.semantics import (
     TAU,
     Bounds,
@@ -15,6 +16,7 @@ from pcalc.semantics import (
     build_lts,
     closures,
     diverges,
+    silent_run,
     step,
     union_lts,
 )
@@ -143,12 +145,86 @@ def test_divergence_verdicts(text, expected, bounds):
     assert diverges(lts, lts.initial) == expected
 
 
-def test_divergence_unknown_on_blind_truncation():
-    # a silent chain longer than the depth bound, with no cycle or growth
-    term = parse("a.(a.(a | 'a) | 'a) | 'a")
-    lts = build_lts(term, Bounds(100, 2))
+CHAIN = "a.(a.(a | 'a) | 'a) | 'a"  # a silent chain of three steps, with no cycle or growth
+
+
+def test_divergence_decided_past_a_blind_truncation():
+    # the chain is longer than the depth bound: the search reads it to its end
+    lts = build_lts(parse(CHAIN), Bounds(100, 2))
     assert lts.truncated
+    assert diverges(lts, lts.initial) == "no"
+    assert lts.diverges == ["no"] * lts.num_states()
+
+
+def _searched(text):
+    """The parts and the part-id state of a term, as silent_run takes them."""
+    term = parse(text)
+    table = semantics._States([term])
+    return table.parts, table.tuples[table.state(term)]
+
+
+def test_silent_run_covers_equal_and_larger_states(monkeypatch):
+    # !a | !'a only ever steps back to itself: an equal state covers too. A
+    # small cap turns a covering test that misses it into a quick unknown.
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 50)
+    assert silent_run(*_searched("!a | !'a"), {}) == "yes"
+    assert silent_run(*_searched("!c.d | !'c | d"), {}) == "yes"  # each handshake adds a d
+    assert silent_run(*_searched(CHAIN), {}) == "no"
+    # a frontier state whose one silent run is a cycle below it
+    lts = build_lts(parse("a.(!b | !'b) | 'a"), Bounds(1, 64))
+    assert lts.frontier == {lts.initial} and lts.diverges == ["yes"]
+
+
+def test_silent_run_memoises_its_answers(monkeypatch):
+    parts, state = _searched(CHAIN)
+    memo = {}
+    assert silent_run(parts, state, memo) == "no"
+    assert len(memo) == 4 and set(memo.values()) == {"no"}  # the chain's four states
+    grow, grown = _searched("!c.d | !'c | d")
+    grow_memo = {}
+    assert silent_run(grow, grown, grow_memo) == "yes" and grow_memo[grown] == "yes"
+    # an answer in the memo is read, not searched again
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 0)
+    assert silent_run(parts, state, memo) == "no" and silent_run(grow, grown, grow_memo) == "yes"
+    assert silent_run(parts, state, {}) == "unknown"
+
+
+def test_silent_run_answers_unknown_past_its_cap(monkeypatch):
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 1)
+    assert silent_run(*_searched(CHAIN), {}) == "unknown"
+    lts = build_lts(parse(CHAIN), Bounds(100, 2))
     assert diverges(lts, lts.initial) == "unknown"
+    # the chain's four states cost 1 + 2 + 3 + 4: each is read, and compared
+    # with the ancestors on its path
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 9)
+    assert silent_run(*_searched(CHAIN), {}) == "unknown"
+    monkeypatch.setattr(semantics, "_SILENT_RUN_CAP", 10)
+    assert silent_run(*_searched(CHAIN), {}) == "no"
+
+
+def test_truncated_divergence_flags_agree_with_complete_graphs():
+    # Fixed here rather than read from PCALC_SEED: every state of a graph cut
+    # at 3-20 states has the flag of its term in the graph a larger bound
+    # completes, and no flag is unknown.
+    rng = random.Random(1)
+    completed = frontier = yes = 0
+    for i in range(200):
+        term = random_stabilizing(rng) if i % 2 else random_ccsm(rng, rng.randint(3, 12))
+        cut = build_lts(term, Bounds(rng.randint(3, 20), 64))
+        assert "unknown" not in cut.diverges
+        if not cut.truncated:
+            continue
+        full = build_lts(term, Bounds(500, 64))
+        if full.truncated:
+            continue
+        completed += 1
+        index = {p: k for k, p in enumerate(full.states)}
+        for s, flag in enumerate(cut.diverges):
+            assert flag == full.diverges[index[cut.states[s]]]
+            if s in cut.frontier:
+                frontier += 1
+                yes += flag == "yes"
+    assert completed >= 30 and frontier >= 100 and yes >= 15
 
 
 def test_divergence_no_states_are_cycle_free():
