@@ -209,3 +209,45 @@ def random_graph_lts(rng: random.Random, max_states: int = 50, names=("a", "b"))
     edges = sorted(edges, key=lambda e: (e[0], e[1].sort_key(), e[2]))
     states = [canonicalize(InputPrefix(f"s{i}", NIL)) for i in range(n)]
     return Lts(states, edges, (0,), frozenset())
+
+
+# The soundness sweep's pairs (ROADMAP item 13, `sweep.py`): terms whose
+# chains are long enough for a cut closure to hide a defender answer.
+SWEEP_BOUNDS = Bounds(3000, 64)
+
+
+def sweep_term(rng: random.Random):
+    """1-3 prefix chains of length 1-8 over a, 'a, d and 'd, the replicated
+    pairs !x | !'x for a, d or both, and for half the terms one more
+    replicated prefix; canonical."""
+
+    def prefix(cont):
+        return rng.choice((InputPrefix, OutputPrefix))(rng.choice("ad"), cont)
+
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        chain = NIL
+        for _ in range(rng.randint(1, 8)):
+            chain = prefix(chain)
+        parts.append(chain)
+    for x in rng.choice(("a", "d", "ad")):
+        parts += [Repl(InputPrefix(x, NIL)), Repl(OutputPrefix(x, NIL))]
+    if rng.random() < 0.5:
+        parts.append(Repl(prefix(NIL)))
+    return canonicalize(Par(tuple(parts)))
+
+
+def sweep_pairs(seed: int, count: int):
+    """count (p, q) pairs drawn from Random(seed): p a sweep term whose graph
+    completes within `SWEEP_BOUNDS`, q a random state of that graph (70%) or
+    a fresh sweep term."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = sweep_term(rng)
+        lts = build_lts(p, SWEEP_BOUNDS)
+        if lts.truncated:
+            continue
+        q = lts.states[rng.randrange(lts.num_states())] if rng.random() < 0.7 else sweep_term(rng)
+        out.append((p, q))
+    return out

@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+import sweep
+from oracles import SWEEP_BOUNDS, sweep_pairs
 from pcalc import equivalence
 from pcalc.equivalence import (
     CCSM_KINDS,
@@ -21,10 +23,11 @@ from pcalc.equivalence import (
     Verdict,
     bounded_game,
     decide,
+    relation,
 )
 from pcalc.evidence import replay_trace
 from pcalc.genterms import random_ccsm, random_stabilizing
-from pcalc.semantics import TAU, Bounds, step
+from pcalc.semantics import TAU, Bounds, step, union_lts
 from pcalc.syntax import InputPrefix, OutputPrefix, Par, Repl, Term, canonicalize, parse, term_key
 
 # ---------------------------------------------------------------------------
@@ -430,3 +433,22 @@ def test_bounded_weak_game_does_not_refute_an_equivalent_pair(left, right, max_s
     full = decide(p, q, "weak")
     assert (full.outcome, full.stats["states"]) == ("equivalent", states)
     assert decide(p, q, "weak", Bounds(max_states, 64), depth, tau_bound).outcome != "inequivalent"
+
+
+def test_soundness_sweep_slice_finds_no_unsound_verdict_but_the_pinned_ones():
+    unsound = [query for query in sweep.queries(sweep_pairs(sweep.SEED, sweep.SLICE)) if query.unsound]
+    assert [query for query in unsound if query.outcome == "equivalent"] == []
+    assert [query.case for query in unsound if query.case not in sweep.PINNED] == []
+
+
+def test_pinned_sweep_cases_are_related_on_their_complete_graphs():
+    for left, right, kind, _setting in sweep.PINNED:
+        lts = union_lts([parse(left), parse(right)], SWEEP_BOUNDS)
+        assert not lts.truncated and relation(lts, kind).relates(lts.initials[0], lts.initials[-1])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1a")
+@pytest.mark.parametrize("left, right, kind, setting", sweep.PINNED)
+def test_bounded_game_does_not_refute_a_pinned_sweep_pair(left, right, kind, setting):
+    max_states, depth, tau_bound = setting
+    assert decide(parse(left), parse(right), kind, Bounds(max_states, 64), depth, tau_bound).outcome != "inequivalent"
