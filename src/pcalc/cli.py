@@ -35,6 +35,11 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+EXIT_OF = {  # the code of each outcome a verdict, a divergence flag or a certificate check prints
+    **dict.fromkeys(("equivalent", "yes", "certified"), EXIT_YES),
+    **dict.fromkeys(("inequivalent", "no", "refuted"), EXIT_NO),
+    **dict.fromkeys(("unknown", "budget-exhausted"), EXIT_UNKNOWN),
+}
 
 CHECK_KINDS = ("sc",) + CCSM_KINDS + ("context-strong", "context-weak")
 
@@ -200,7 +205,7 @@ def _cmd_check(args) -> int:
         final = payload.get("trace", {}).get("final")
         if final:
             print(f"attacker: {final['side']} plays {final['action']}")
-    return {"equivalent": EXIT_YES, "inequivalent": EXIT_NO, "unknown": EXIT_UNKNOWN}[verdict.outcome]
+    return EXIT_OF[verdict.outcome]
 
 
 def _cmd_diverges(args) -> int:
@@ -212,7 +217,7 @@ def _cmd_diverges(args) -> int:
         print(_dump({"diverges": flag, **bound}))
     else:
         print(flag)
-    return {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[flag]
+    return EXIT_OF[flag]
 
 
 def _cmd_tau_classify(args) -> int:
@@ -241,11 +246,7 @@ def _cmd_certify(args) -> int:
         print(_dump(result.to_json()))
     else:
         print(result.outcome)
-    return {
-        "certified": EXIT_YES,
-        "refuted": EXIT_NO,
-        "budget-exhausted": EXIT_UNKNOWN,
-    }[result.outcome]
+    return EXIT_OF[result.outcome]
 
 
 def _probe_replfree(count: int) -> int:

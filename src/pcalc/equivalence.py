@@ -4,8 +4,9 @@ transfer clause is written once (`_respond`), over the lazy silent closures of
 `semantics` and int codes: action ids, tau 0, and states that are graph states
 (trace extraction) or the ids of the part-id state table (`semantics._States`)
 that exploration, the first-order bounded game and trace replay share. One
-attacker search serves the first-order game and the higher-order context game
-(`hocore`), which plays over terms.
+move protocol (`_Game`) serves every attacker search: trace extraction's rank
+search, the first-order game and the higher-order context game (`hocore`),
+which plays over terms and labels its moves with `Action`s that carry payloads.
 
 Five relations are supported, all divergence-sensitive and all computed by
 one signature-refinement loop: strong, weak, branching, quasi-strong and
@@ -432,18 +433,11 @@ def relation(lts: Lts, kind: str) -> Partition:
 # ---------------------------------------------------------------------------
 # Refutation: ranked attacker game and trace extraction
 #
-# A challenge is an attacker move (side, action id, derivative, challenger,
-# defender). A defender answer is a tuple of continuation pairs; the attacker
-# then picks one of them. This uniformly covers the intermediate-state
-# condition of the branching styles, whose answers expose both
-# (challenger, mid) and (derivative, target).
-
-
-def _challenges(lts: Lts, pair):
-    l, r = pair
-    for side, chal, defn in (("left", l, r), ("right", r, l)):
-        for action, deriv in lts.moves[chal]:
-            yield side, action, deriv, chal, defn
+# A challenge is an attacker move (side, action, derivative). A defender
+# answer is a tuple of continuation pairs; the attacker then picks one of
+# them. This uniformly covers the intermediate-state condition of the
+# branching styles, whose answers expose both (challenger, mid) and
+# (derivative, target).
 
 
 def _respond(kind: str, closures: SilentClosures, defn: int, action: int):
@@ -487,7 +481,128 @@ def _answer(response, chal, action, deriv):
     return (((chal, mid), True), ((deriv, t), False))
 
 
-class _RankSearch:
+class _Game:
+    """The move protocol of every attacker search, over any hashable states
+    and actions: graph states and action ids in trace extraction
+    (`_RankSearch`), game state ids and action ids in the first-order bounded
+    game, terms and `Action`s in the higher-order context game.
+
+    A game is built over its silent closures, whose `step(p)` lists p's
+    (action, derivative) moves in (action, derivative) order. Its moves are
+    `respond(defn, action)`, the defender's responses to an action,
+    whichever side challenged, and whether a silent closure they read was
+    cut short; `answer(response, chal, action, deriv)`, the continuations a
+    response offers to chal -action-> deriv, as ((challenger, defender),
+    label) pairs in the order the attacker tries them; and
+    `challenge_order`, the sort key of a challenge (side, action,
+    derivative) by action, then side. The defaults are the first-order
+    moves over action ids, with `_respond` for the game's `kind`. Responses
+    are memoised per (defender, action), challenges per position, and
+    `safe` across deepening budgets. Positions are oriented (left, right).
+    """
+
+    answer = staticmethod(_answer)
+    challenge_order = staticmethod(itemgetter(1, 0))  # action ids follow sort-key order
+
+    def __init__(self, closures: SilentClosures):
+        self.closures, self.step = closures, closures.step
+        self.safe = {}  # position -> a budget within which it has no refutation
+        self._responses = {}
+        self._challenges = {}
+        self.positions = self.memo_hits = self.closures_cut = 0
+
+    def respond(self, defn, action):
+        return _respond(self.kind, self.closures, defn, action)
+
+    def responses(self, defn, action):
+        key = (defn, action)
+        out = self._responses.get(key)
+        if out is None:
+            out, cut = self.respond(defn, action)
+            self.closures_cut += cut
+            self._responses[key] = out
+        return out
+
+    def challenges(self, l, r):
+        """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
+        out = self._challenges.get((l, r))
+        if out is None:
+            # step lists moves in (action, derivative) order; the sort is stable
+            out = [("left", a, d) for a, d in self.step(l)] + [("right", a, d) for a, d in self.step(r)]
+            out.sort(key=self.challenge_order)
+            self._challenges[(l, r)] = out
+        return out
+
+    def attack(self, l, r, budget):
+        """Refutation steps from (l, r) within budget, or None. Each step is
+        (side, action, continuation, label); the last has no continuation: the
+        defender cannot answer it.
+
+        The result depends on (l, r, budget) only: `safe` records only true
+        facts, and no refutation within a budget means none within less.
+        Continuations with equal sides or a `safe` budget are settled in
+        place, and counted as the recursive call would count them.
+        """
+        if l == r or budget <= 0:
+            return None
+        if self.safe.get((l, r), -1) >= budget:
+            self.memo_hits += 1
+            return None
+        self.positions += 1
+        safe = self.safe
+        for side, action, deriv in self.challenges(l, r):
+            chal, defn = (l, r) if side == "left" else (r, l)
+            responses = self.responses(defn, action)
+            if not responses:
+                return [(side, action, None, None)]
+            if budget == 1:  # no continuation is refutable within budget 0
+                continue
+            # every answer must offer a refutable continuation
+            per_answer = []
+            for response in responses:
+                for cont, label in self.answer(response, chal, action, deriv):
+                    if side == "right":
+                        cont = cont[::-1]
+                    if cont[0] == cont[1]:
+                        continue
+                    if safe.get(cont, -1) >= budget - 1:
+                        self.memo_hits += 1
+                        continue
+                    tail = self.attack(cont[0], cont[1], budget - 1)
+                    if tail is not None:
+                        per_answer.append((cont, label, tail))
+                        break
+                else:
+                    break
+            else:
+                # show the defender answer whose refutation is longest
+                cont, label, tail = max(per_answer, key=lambda c: len(c[2]))
+                return [(side, action, cont, label)] + tail
+        self.safe[(l, r)] = budget
+        return None
+
+    def play(self, p, q, depth):
+        """The refutation found first by deepening the budget up to depth, or
+        None; the bounds that cut the search short when it found none; and
+        the game's stats."""
+        found = None
+        for budget in range(1, depth + 1):
+            found = self.attack(p, q, budget)
+            if found is not None:
+                break
+        stats = {
+            "depth": depth,
+            "game_positions": self.positions,
+            "memo_hits": self.memo_hits,
+            "responses": len(self._responses),
+            "closures_cut": self.closures_cut,
+        }
+        cut = {"closures_cut": self.closures_cut, "closure_cap": self.closures.cap} if self.closures_cut else {}
+        bound = None if found else {"no_distinction_up_to": depth, "tau_bound": self.closures.bound, **cut}
+        return found, bound, stats
+
+
+class _RankSearch(_Game):
     """Memoised, goal-directed search for "rank(pair) <= k".
 
     rank is 0 on an unrelated pair whose divergence flags differ, otherwise 1 +
@@ -509,28 +624,16 @@ class _RankSearch:
     """
 
     def __init__(self, lts: Lts, kind: str):
+        super().__init__(closures(lts))
         self.lts, self.kind = lts, kind
-        self.cls = closures(lts)
         self.rounds = compute_partition(lts, kind)
         self.lo, self.hi = {}, {}
-        self._responses = {}
 
-    def _sorted_responses(self, defn, action):
-        """defn's responses to action, memoised in graph order: (None, t)
-        first, then (mid, t) by mid, then t."""
-        responses = self._responses.get((defn, action))
-        if responses is None:
-            responses, _cut = _respond(self.kind, self.cls, defn, action)
-            responses = tuple(sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1])))
-            self._responses[(defn, action)] = responses
-        return responses
-
-    def answers(self, challenge):
-        """The defender's answers to a challenge, lazily, each a tuple of
-        (left, right) continuations, in `_sorted_responses` order."""
-        side, action, deriv, chal, defn = challenge
-        for response in self._sorted_responses(defn, action):
-            yield tuple(c if side == "left" else c[::-1] for c, _rolled in _answer(response, chal, action, deriv))
+    def respond(self, defn, action):
+        """defn's responses to action in graph order: (None, t) first, then
+        (mid, t) by mid, then t."""
+        responses, cut = _respond(self.kind, self.closures, defn, action)
+        return tuple(sorted(responses, key=lambda r: (-1 if r[0] is None else r[0], r[1]))), cut
 
     def _known(self, pair, k):
         """Whether the bounds settle rank(pair) <= k; None if they do not."""
@@ -545,10 +648,11 @@ class _RankSearch:
     def _expand(self, pair, k):
         """Decides rank(pair) <= k; yields each continuation the bounds leave open, to be sent its verdict.
 
-        Reads the memoised responses in place, oriented as `answers` orients them."""
-        settled, responses, below = self._known, self._sorted_responses, k - 1
+        Reads the memoised responses in place, oriented as `attack` orients
+        them. It tries the left side's challenges, then the right's, in move
+        order: that order sets which pairs the search bounds."""
+        settled, responses, below = self._known, self.responses, k - 1
         l, r = pair
-        # the challenges of `_challenges`, in its order
         for left, chal, defn in ((True, l, r), (False, r, l)):
             for action, deriv in self.lts.moves[chal]:
                 for mid, t in responses(defn, action):
@@ -625,12 +729,16 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
-        for ch in sorted(_challenges(lts, pair), key=itemgetter(1, 0, 2)):
-            answers = tuple(game.answers(ch))
+        for side, action, deriv in game.challenges(*pair):
+            chal, defn = pair if side == "left" else pair[::-1]
+            answers = tuple(
+                tuple(c if side == "left" else c[::-1] for c, _rolled in game.answer(response, chal, action, deriv))
+                for response in game.responses(defn, action)
+            )
             if all(any(game.at_most(c, bound - 1) for c in ans) for ans in answers):
                 break
         if not answers:
-            reason, final = "no-match", (ch[0], acts[ch[1]])
+            reason, final = "no-match", (side, acts[action])
             break
 
         # the defender plays the (first) answer that survives longest; the
@@ -641,7 +749,7 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
         best_ans = max(answers, key=lambda ans: ranked(ans)[0][0])
         nxt = ranked(best_ans)[0][1]
         rolled = len(best_ans) > 1 and nxt == best_ans[0]
-        steps.append(TraceStep(ch[0], acts[ch[1]], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
+        steps.append(TraceStep(side, acts[action], (lts.states[nxt[0]], lts.states[nxt[1]]), rolled_back=rolled))
         pair, bound = nxt, game.rank(nxt)
     return AttackerTrace(kind, tuple(lts.states[i] for i in start), tuple(steps), reason, *final, rank_pairs=len(game.lo))
 
@@ -804,119 +912,6 @@ def _only_in(left: Partition, right: Partition) -> list:
 # moves explore at most tau_bound silent steps on each side of the answer.
 
 
-class _Game:
-    """Depth-bounded attacker search over any hashable states and actions,
-    for any calculus: int ids in the first-order game, terms and `HoAction`s
-    in the higher-order context game.
-
-    A subclass supplies the moves: `step(p)`, p's (action, derivative) moves
-    in (action, derivative) order; `respond(defn, action)`, the defender's
-    responses to an action, whichever side challenged, and whether a silent
-    closure they read was cut short; `answer(response, chal, action, deriv)`,
-    the continuations a response offers to chal -action-> deriv, as
-    ((challenger, defender), label) pairs in the order the attacker tries them;
-    and `challenge_order`, the sort key of a challenge (side, action,
-    derivative) by action, then side. Its silent closures take the silent
-    action and the state order it passes. Responses are memoised per
-    (defender, action), challenges per position, and `safe` across deepening
-    budgets. Positions are oriented (left, right).
-    """
-
-    def __init__(self, tau_bound, cap, silent, order):
-        self.closures = SilentClosures(self.step, tau_bound, cap, silent, order)
-        self.safe = {}  # position -> a budget within which it has no refutation
-        self._responses = {}
-        self._challenges = {}
-        self.positions = self.memo_hits = self.closures_cut = 0
-
-    def responses(self, defn, action):
-        key = (defn, action)
-        out = self._responses.get(key)
-        if out is None:
-            out, cut = self.respond(defn, action)
-            self.closures_cut += cut
-            self._responses[key] = out
-        return out
-
-    def challenges(self, l, r):
-        """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
-        out = self._challenges.get((l, r))
-        if out is None:
-            # step lists moves in (action, derivative) order; the sort is stable
-            out = [("left", a, d) for a, d in self.step(l)] + [("right", a, d) for a, d in self.step(r)]
-            out.sort(key=self.challenge_order)
-            self._challenges[(l, r)] = out
-        return out
-
-    def attack(self, l, r, budget):
-        """Refutation steps from (l, r) within budget, or None. Each step is
-        (side, action, continuation, label); the last has no continuation: the
-        defender cannot answer it.
-
-        The result depends on (l, r, budget) only: `safe` records only true
-        facts, and no refutation within a budget means none within less.
-        Continuations with equal sides or a `safe` budget are settled in
-        place, and counted as the recursive call would count them.
-        """
-        if l == r or budget <= 0:
-            return None
-        if self.safe.get((l, r), -1) >= budget:
-            self.memo_hits += 1
-            return None
-        self.positions += 1
-        safe = self.safe
-        for side, action, deriv in self.challenges(l, r):
-            chal, defn = (l, r) if side == "left" else (r, l)
-            responses = self.responses(defn, action)
-            if not responses:
-                return [(side, action, None, None)]
-            if budget == 1:  # no continuation is refutable within budget 0
-                continue
-            # every answer must offer a refutable continuation
-            per_answer = []
-            for response in responses:
-                for cont, label in self.answer(response, chal, action, deriv):
-                    if side == "right":
-                        cont = cont[::-1]
-                    if cont[0] == cont[1]:
-                        continue
-                    if safe.get(cont, -1) >= budget - 1:
-                        self.memo_hits += 1
-                        continue
-                    tail = self.attack(cont[0], cont[1], budget - 1)
-                    if tail is not None:
-                        per_answer.append((cont, label, tail))
-                        break
-                else:
-                    break
-            else:
-                # show the defender answer whose refutation is longest
-                cont, label, tail = max(per_answer, key=lambda c: len(c[2]))
-                return [(side, action, cont, label)] + tail
-        self.safe[(l, r)] = budget
-        return None
-
-    def play(self, p, q, depth):
-        """The refutation found first by deepening the budget up to depth, or
-        None; the bounds that cut the search short when it found none; and
-        the game's stats."""
-        found = None
-        for budget in range(1, depth + 1):
-            found = self.attack(p, q, budget)
-            if found is not None:
-                break
-        stats = {
-            "depth": depth,
-            "game_positions": self.positions,
-            "memo_hits": self.memo_hits,
-            "responses": len(self._responses),
-            "closures_cut": self.closures_cut,
-        }
-        cut = {"closures_cut": self.closures_cut, "closure_cap": self.closures.cap} if self.closures_cut else {}
-        bound = None if found else {"no_distinction_up_to": depth, "tau_bound": self.closures.bound, **cut}
-        return found, bound, stats
-
-
 class _OnTheFly(_Game):
     """The first-order game between two roots, over the part-id states that
     `union_lts` explores, read through one `semantics._States` table: it
@@ -927,20 +922,14 @@ class _OnTheFly(_Game):
     one lazy silent-closure helper, `semantics.SilentClosures`, which trace
     extraction uses over graph states."""
 
-    answer = staticmethod(_answer)
-    challenge_order = staticmethod(itemgetter(1, 0))  # action ids follow sort-key order
-
     def __init__(self, kind, tau_bound, roots):
         # the table's step and order hold no reference to the game: a
         # finished game's `safe`, response and challenge tables are freed at
         # once, not by the cyclic collector
         self.states = states = _States(roots)
-        self.step, self.state, self.term = states.step, states.state, states.__getitem__
-        super().__init__(tau_bound, 4096, 0, states.order)
+        self.state, self.term = states.state, states.__getitem__
+        super().__init__(SilentClosures(states.step, tau_bound, 4096, 0, states.order))
         self.kind = kind
-
-    def respond(self, defn, action):
-        return _respond(self.kind, self.closures, defn, action)
 
 
 def _game_tau_bound(depth: int, tau_bound) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .equivalence import AttackerTrace, TraceStep, Verdict, _Game, _game_tau_bound
+from .semantics import TAU, Action, SilentClosures
 from .syntax import (
     NIL,
     GuardedRepl,
@@ -40,36 +41,6 @@ from .syntax import (
 
 class OpenTermError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HoAction:
-    kind: str  # 'tau' | 'in' | 'out'
-    channel: str = ""
-    payload: Term = NIL
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((self.kind, self.channel, self.payload)))
-
-    def __hash__(self):
-        return self._h
-
-    @property
-    def is_tau(self) -> bool:
-        return self.kind == "tau"
-
-    def sort_key(self):
-        return ({"tau": 0, "in": 1, "out": 2}[self.kind], self.channel, term_key(self.payload))
-
-    def label(self) -> str:
-        if self.kind == "tau":
-            return "tau"
-        if self.kind == "in":
-            return f"{self.channel}({render(self.payload, compact=True)})"
-        return f"'{self.channel}<{render(self.payload, compact=True)}>"
-
-
-HO_TAU = HoAction("tau")
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +229,10 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
         return
     if isinstance(p, HoInput):
         for a in fam.inputs:
-            moves.add((HoAction("in", p.channel, a), ho_subst(p.body, p.var, a)))
+            moves.add((Action("in", p.channel, a), ho_subst(p.body, p.var, a)))
         return
     if isinstance(p, HoOutput):
-        moves.add((HoAction("out", p.channel, canonicalize(p.message)), canonicalize(p.cont)))
+        moves.add((Action("out", p.channel, canonicalize(p.message)), canonicalize(p.cont)))
         return
     if isinstance(p, Par):
         # Copies of one part, alike up to their binder numbers, reach the
@@ -284,7 +255,7 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
                 ti = ho_subst(recv.body, recv.var, canonicalize(send.message))
                 repl = list(parts)
                 repl[i], repl[j] = ti, send.cont
-                moves.add((HO_TAU, canonical_par(repl)))
+                moves.add((TAU, canonical_par(repl)))
         return
     raise TypeError(f"not a closed higher-order term: {p!r}")
 
@@ -330,19 +301,19 @@ class _ContextGame(_Game):
     challenge_order = staticmethod(lambda ch: (ch[1].sort_key(), ch[0]))
 
     def __init__(self, mode, fam, tau_bound):
-        self.step = functools.lru_cache(maxsize=None)(lambda p: ho_step(p, fam))
-        super().__init__(tau_bound, 2048, HO_TAU, term_key)
+        step = functools.lru_cache(maxsize=None)(lambda p: ho_step(p, fam))
+        super().__init__(SilentClosures(step, tau_bound, 2048))
         self.mode, self.fam = mode, fam
 
     def respond(self, defn, action):
         def matches(a):
-            return a == action or a.kind == action.kind == "out" and a.channel == action.channel
+            return a == action or a.kind == action.kind == "out" and a.name == action.name
 
         if self.mode == "strong":
             return tuple((a, t) for a, t in self.step(defn) if matches(a)), False
         if action.is_tau:
             pres, complete = self.closures[defn].states()
-            return tuple((HO_TAU, t) for t in pres), not complete
+            return tuple((TAU, t) for t in pres), not complete
         moves, complete = self.closures.weak_moves(defn, matches)
         return moves, not complete
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Optional
 
 from . import syntax
 from .syntax import (
@@ -50,12 +51,18 @@ class TruncatedInput(ValueError):
 
 @dataclass(frozen=True)
 class Action:
+    """A move's label in either calculus. A higher-order input or output also
+    carries the process it receives or sends (`payload`); a first-order
+    action has none."""
+
     kind: str  # 'tau' | 'in' | 'out'
     name: str = ""
+    payload: Optional[Term] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash((self.kind, self.name)))
-        object.__setattr__(self, "_sk", ({"tau": 0, "in": 1, "out": 2}[self.kind], self.name))
+        object.__setattr__(self, "_h", hash((self.kind, self.name, self.payload)))
+        key = ({"tau": 0, "in": 1, "out": 2}[self.kind], self.name)
+        object.__setattr__(self, "_sk", key if self.payload is None else key + (term_key(self.payload),))
 
     def __hash__(self):
         return self._h
@@ -66,9 +73,9 @@ class Action:
 
     def complement(self) -> "Action":
         if self.kind == "in":
-            return Action("out", self.name)
+            return Action("out", self.name, self.payload)
         if self.kind == "out":
-            return Action("in", self.name)
+            return Action("in", self.name, self.payload)
         raise ValueError("tau has no complement")
 
     def sort_key(self):
@@ -77,9 +84,10 @@ class Action:
     def label(self) -> str:
         if self.kind == "tau":
             return "tau"
-        if self.kind == "in":
-            return self.name
-        return "'" + self.name
+        if self.payload is None:
+            return self.name if self.kind == "in" else "'" + self.name
+        payload = render(self.payload, compact=True)
+        return f"{self.name}({payload})" if self.kind == "in" else f"'{self.name}<{payload}>"
 
     @staticmethod
     def from_label(label: str) -> "Action":

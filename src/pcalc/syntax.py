@@ -325,7 +325,7 @@ def flat_key(p: Term) -> tuple:
 # renamed with the whole term: canonicalized alone, each level of a deep
 # nest would be renamed again at every level above it.
 
-_canon_cache: dict = {}  # term -> its canonical representative
+_canon_cache: dict = {}  # term that is not its own representative -> its representative
 _intern: dict = {}  # canonical term -> its representative
 _binders: dict = {}  # closed canonical part -> its count of binders
 _shift_memo: dict = {}  # (closed canonical part, offset) -> it with binders from X<offset>
@@ -338,7 +338,9 @@ def canonicalize(p: Term) -> Term:
     Drops nil components, flattens and sorts parallels, and renames
     higher-order binders to X0, X1, ... in traversal order. Idempotent.
     """
-    rep = _canon_cache.get(p)
+    rep = _intern.get(p)
+    if rep is None:
+        rep = _canon_cache.get(p)
     if rep is not None:
         return rep
     if isinstance(p, Par) and not (p._hv and free_vars(p)):
@@ -348,8 +350,8 @@ def canonicalize(p: Term) -> Term:
         if _needs_rename(q):
             q = _rename(q, {}, [0], free_vars(q))
         rep = _intern.setdefault(q, q)
-        _canon_cache[rep] = rep
-    _canon_cache[p] = rep
+    if rep is not p:
+        _canon_cache[p] = rep
     return rep
 
 
@@ -471,9 +473,7 @@ def canonical_par(parts) -> Term:
 def interned(p: Term) -> Term:
     """The interned representative of a canonical term, a first-order one
     with its subterms interned already; it is its own canonical form."""
-    rep = _intern.setdefault(p, p)
-    _canon_cache.setdefault(rep, rep)
-    return rep
+    return _intern.setdefault(p, p)
 
 
 def sc_equal(p: Term, q: Term) -> bool:

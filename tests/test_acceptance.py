@@ -37,8 +37,8 @@ from pcalc.equivalence import (
 )
 from pcalc.evidence import Certificate, check_certificate
 from pcalc.genterms import random_ccsm, rng_from_env
-from pcalc.hocore import HO_TAU, HoAction, TestFamilies, context_game, ho_step
-from pcalc.semantics import Bounds, build_lts, step, union_lts
+from pcalc.hocore import TestFamilies, context_game, ho_step
+from pcalc.semantics import TAU, Action, Bounds, build_lts, step, union_lts
 from pcalc.syntax import NIL, Repl, canonicalize, parse, render, subterms
 
 
@@ -146,7 +146,7 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
     p = canonicalize(parse("!(a(X).0 | 'a<0>.0)", dialect="hoccsm"))
     q = canonicalize(parse("!(a(X).0 | 'a<0>.0) | a(X).0 | 'a<0>.0", dialect="hoccsm"))
     fam = TestFamilies.default(p, q)
-    two_way_tau = (HO_TAU, q) in ho_step(p, fam) and (HO_TAU, p) in ho_step(q, fam)
+    two_way_tau = (TAU, q) in ho_step(p, fam) and (TAU, p) in ho_step(q, fam)
     strong_pq = context_game(p, q, "strong", 4)
     weak_pq = context_game(p, q, "weak", 2, tau_bound=1)
     # the bound names the closures that tau_bound 1 cut, and the closure cap
@@ -156,7 +156,7 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
         two_way_tau
         and strong_pq.outcome == "inequivalent"
         and strong_pq.trace == []
-        and strong_pq.final == ("right", HoAction("in", "a", NIL))
+        and strong_pq.final == ("right", Action("in", "a", NIL))
         and weak_pq.outcome == "unknown"
         and cut > 0
         and weak_pq.bound_report == pq_bound
@@ -173,7 +173,7 @@ def test_criterion_2_ho_unfolded_replication(tmp_path, capsys):
     assert closure_ok
     assert two_way_tau
     assert strong_pq.outcome == "inequivalent" and strong_pq.trace == []
-    assert strong_pq.final == ("right", HoAction("in", "a", NIL))
+    assert strong_pq.final == ("right", Action("in", "a", NIL))
     assert weak_pq.outcome == "unknown" and cut > 0
     assert weak_pq.bound_report == pq_bound
 

@@ -69,7 +69,7 @@ class _HoGame:
                 return [t for a, t in self.moves(defn) if a.is_tau]
             if action.kind == "in":
                 return [t for a, t in self.moves(defn) if a == action]
-            return [(a.payload, t) for a, t in self.moves(defn) if a.kind == "out" and a.channel == action.channel]
+            return [(a.payload, t) for a, t in self.moves(defn) if a.kind == "out" and a.name == action.name]
         if action.is_tau:
             return list(self.tau_closure(defn))
         out = []
@@ -81,7 +81,7 @@ class _HoGame:
                         if t not in seen:
                             seen.add(t)
                             out.append(t)
-                elif action.kind == "out" and a.kind == "out" and a.channel == action.channel:
+                elif action.kind == "out" and a.kind == "out" and a.name == action.name:
                     for t in self.tau_closure(mid):
                         if (a.payload, t) not in seen:
                             seen.add((a.payload, t))

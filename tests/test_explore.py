@@ -270,6 +270,8 @@ def test_clear_caches_empties_the_live_tables_in_place():
     moves = semantics.step(term)
     ho_moves = ho_step(ho_term, TestFamilies.default(ho_term, ho_term))
     assert all(cache_info().values())
+    # a representative is found in `_intern`; the canonical cache maps only the others
+    assert not any(t is rep for t, rep in syntax._canon_cache.items())
     clear_caches()
     assert cache_info() == {"intern": 0, "canon": 0, "binders": 0, "shift": 0, "step": 0}
     assert all(a is b for a, b in zip(live(), tables))

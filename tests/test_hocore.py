@@ -3,7 +3,6 @@ import pytest
 from pcalc.genterms import random_hoccsm, rng_from_env
 from pcalc.hocore import (
     Context,
-    HoAction,
     OpenTermError,
     TestFamilies,
     context_game,
@@ -11,6 +10,7 @@ from pcalc.hocore import (
     ho_step,
     ho_subst,
 )
+from pcalc.semantics import TAU, Action
 from pcalc.syntax import (
     NIL,
     HoInput,
@@ -21,6 +21,7 @@ from pcalc.syntax import (
     free_vars,
     parse,
     render,
+    term_key,
 )
 
 
@@ -119,7 +120,7 @@ def test_ho_step_output_axiom():
     fam = TestFamilies.default(NIL, NIL)
     p = hparse("'a<m.0>.'b.0")
     ((act, cont),) = ho_step(p, fam)
-    assert act == HoAction("out", "a", canonicalize(hparse("m.0")))
+    assert act == Action("out", "a", canonicalize(hparse("m.0")))
     assert cont == canonicalize(hparse("'b.0"))
 
 
@@ -129,6 +130,17 @@ def test_ho_step_communication_uses_actual_payload():
     moves = ho_step(p, fam)
     taus = [t for a, t in moves if a.is_tau]
     assert taus == [canonicalize(hparse("'b.0"))]
+
+
+def test_one_action_labels_and_orders_moves_of_both_orders():
+    fam = TestFamilies(inputs=(NIL, canonicalize(hparse("m.0"))), contexts=(Context(Var("X")),))
+    moves = ho_step(hparse("a(X).X | 'a<'b.0>.0"), fam)
+    assert [a.label() for a, _t in moves] == ["tau", "a(0)", "a(m)", "'a<'b>"]
+    assert moves[0][0] is TAU
+    # a payload extends the first-order key (rank, name) by its term key
+    assert Action("in", "a").sort_key() == (1, "a") and Action("out", "b").label() == "'b"
+    assert Action("out", "a", NIL).sort_key() == (2, "a", term_key(NIL))
+    assert Action("in", "a") != Action("in", "a", NIL)
 
 
 def test_ho_step_inputs_range_over_family():
@@ -173,10 +185,10 @@ def test_context_game_strong_refutes_unfolded_replication():
     verdict = context_game(bang, unfolded, "strong", depth=4)
     assert verdict.outcome == "inequivalent"
     assert verdict.trace == []
-    assert verdict.final[1] == HoAction("out", "d", NIL)
+    assert verdict.final[1] == Action("out", "d", NIL)
     # the folded side's immediate visible moves stay on the replicator channel
     fam = verdict.families
-    assert {a.channel for a, _t in ho_step(bang, fam) if not a.is_tau} == {"c0"}
+    assert {a.name for a, _t in ho_step(bang, fam) if not a.is_tau} == {"c0"}
 
 
 def test_context_game_weak_also_refutes_unfolded_replication():
@@ -189,8 +201,8 @@ def test_context_game_weak_also_refutes_unfolded_replication():
     verdict = context_game(bang, unfolded, "weak", depth=4)
     assert verdict.outcome == "inequivalent"
     first = verdict.trace[0]
-    assert first.action.kind == "out" and first.action.channel == "c0"
-    assert verdict.final[1] == HoAction("out", "d", NIL)
+    assert first.action.kind == "out" and first.action.name == "c0"
+    assert verdict.final[1] == Action("out", "d", NIL)
 
 
 def test_context_game_right_side_attacks_are_defended_weakly():
@@ -254,7 +266,7 @@ def test_strong_depth_one_equals_action_set_comparison():
             # one-step observability: outputs count by channel, payloads only
             # feed the context fork that depth one cannot inspect
             return {
-                a if a.kind != "out" else ("out", a.channel)
+                a if a.kind != "out" else ("out", a.name)
                 for a, _ in ho_step(t, fam)
             }
 
