@@ -7,7 +7,6 @@ Exit codes: 0 equivalent/true/certified, 1 inequivalent/false/refuted,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ import traceback
 
 from . import corpus, genterms, semantics
 from .equivalence import CCSM_KINDS, compute_partition, classify_tau, decide
-from .evidence import check_certificate, load_certificate
+from .evidence import Certificate, check_certificate, load_certificate
 from .hocore import Context, OpenTermError, TestFamilies, context_game
 from .semantics import Bounds, build_lts
 from .syntax import (
@@ -240,7 +239,7 @@ def _cmd_tau_classify(args) -> int:
 def _cmd_certify(args) -> int:
     cert = load_certificate(args.relation)
     if args.budget is not None:
-        cert = dataclasses.replace(cert, closure_budget=args.budget)  # __post_init__ checks it
+        cert = Certificate(cert.pairs, cert.discipline, args.budget)  # the constructor checks the budget
     result = check_certificate(cert)
     if args.json:
         print(_dump(result.to_json()))

@@ -3,22 +3,22 @@ replication-invariance certificates, each with machine-checked expectations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .equivalence import decide
 from .evidence import Certificate, check_certificate
 from .hocore import context_game, derived_replication
 from .semantics import Bounds, build_lts, step
-from .syntax import Par, canonicalize, parse, render
+from .syntax import Par, Record, canonicalize, parse, render
 
 
-@dataclass
-class CorpusEntry:
-    name: str
-    dialect: str
-    terms: tuple
-    note: str
-    runner: object
+class CorpusEntry(Record):
+    _fields = ("name", "dialect", "terms", "note", "runner")
+
+    def __init__(self, name: str, dialect: str, terms: tuple, note: str, runner: object):
+        self.name = name
+        self.dialect = dialect
+        self.terms = terms
+        self.note = note
+        self.runner = runner
 
     def run(self) -> dict:
         checks = self.runner()

@@ -26,13 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
 from . import semantics
 from .semantics import Action, Bounds, Lts, SilentClosures, TruncatedInput, _States, closures, union_lts
-from .syntax import Term, canonicalize, render, sc_equal
+from .syntax import Record, Term, canonicalize, render, sc_equal
 
 PARTITION_KINDS = ("strong", "weak", "branching")
 PAIR_KINDS = ("quasi-strong", "qs-branching")
@@ -47,16 +46,19 @@ class InvalidRequest(ValueError):
 # Witness values
 
 
-@dataclass
-class Partition:
-    kind: str
-    block_of: tuple
-    iterations: int = 0
-    # how the refinement split its blocks, a forest of at most 2n nodes: a
-    # parent and a round per node, -1 the parent of a root, and the node of
-    # each final block. A root is a block of the initial partition; a block
-    # that a round splits in k gets k children, each labelled with that round.
-    splits: tuple = field(default=None, compare=False, repr=False)
+class Partition(Record):
+    _fields = ("kind", "block_of", "iterations", "splits")
+    _uncompared = _unrepr = ("splits",)
+
+    def __init__(self, kind: str, block_of: tuple, iterations: int = 0, splits: tuple = None):
+        self.kind = kind
+        self.block_of = block_of
+        self.iterations = iterations
+        # how the refinement split its blocks, a forest of at most 2n nodes: a
+        # parent and a round per node, -1 the parent of a root, and the node of
+        # each final block. A root is a block of the initial partition; a block
+        # that a round splits in k gets k children, each labelled with that round.
+        self.splits = splits
 
     def relates(self, s: int, t: int) -> bool:
         return self.block_of[s] == self.block_of[t]
@@ -108,13 +110,15 @@ class Partition:
         return {"kind": self.kind, "blocks": [list(b) for b in self.blocks]}
 
 
-@dataclass
-class TraceStep:
-    side: str  # 'left' | 'right'
-    action: Action
-    after: tuple  # (left term, right term)
-    rolled_back: bool = False  # defender advanced to an intermediate state only
-    context: str = ""  # in a context game, the context an output answer was plugged into
+class TraceStep(Record):
+    _fields = ("side", "action", "after", "rolled_back", "context")
+
+    def __init__(self, side: str, action: Action, after: tuple, rolled_back: bool = False, context: str = ""):
+        self.side = side  # 'left' | 'right'
+        self.action = action
+        self.after = after  # (left term, right term)
+        self.rolled_back = rolled_back  # defender advanced to an intermediate state only
+        self.context = context  # in a context game, the context an output answer was plugged into
 
     def to_json(self) -> dict:
         out = {
@@ -129,15 +133,19 @@ class TraceStep:
         return out
 
 
-@dataclass
-class AttackerTrace:
-    kind: str
-    start: tuple  # (left term, right term)
-    steps: tuple
-    reason: str  # 'no-match' | 'divergence-mismatch'
-    final_side: str = ""
-    final_action: Optional[Action] = None
-    rank_pairs: int = field(default=0, compare=False)  # search cost, not part of the trace
+class AttackerTrace(Record):
+    _fields = ("kind", "start", "steps", "reason", "final_side", "final_action", "rank_pairs")
+    _uncompared = ("rank_pairs",)
+
+    def __init__(self, kind: str, start: tuple, steps: tuple, reason: str, final_side: str = "",
+                 final_action: Optional[Action] = None, rank_pairs: int = 0):
+        self.kind = kind
+        self.start = start  # (left term, right term)
+        self.steps = steps
+        self.reason = reason  # 'no-match' | 'divergence-mismatch'
+        self.final_side = final_side
+        self.final_action = final_action
+        self.rank_pairs = rank_pairs  # search cost, not part of the trace
 
     def __len__(self):
         n = len(self.steps)
@@ -157,14 +165,17 @@ class AttackerTrace:
         return out
 
 
-@dataclass
-class Verdict:
-    outcome: str  # 'equivalent' | 'inequivalent' | 'unknown'
-    kind: str
-    witness: object = None
-    trace: Optional[AttackerTrace] = None
-    bound_report: Optional[dict] = None
-    stats: dict = field(default_factory=dict)
+class Verdict(Record):
+    _fields = ("outcome", "kind", "witness", "trace", "bound_report", "stats")
+
+    def __init__(self, outcome: str, kind: str, witness: object = None, trace: Optional[AttackerTrace] = None,
+                 bound_report: Optional[dict] = None, stats: Optional[dict] = None):
+        self.outcome = outcome  # 'equivalent' | 'inequivalent' | 'unknown'
+        self.kind = kind
+        self.witness = witness
+        self.trace = trace
+        self.bound_report = bound_report
+        self.stats = {} if stats is None else stats
 
     def to_json(self) -> dict:
         out = {"outcome": self.outcome, "kind": self.kind}
@@ -771,8 +782,7 @@ def check_pair(lts: Lts, s: int, t: int, kind: str) -> Verdict:
     return Verdict("inequivalent", kind, trace=trace, stats=stats)
 
 
-@dataclass
-class TauClassification:
+class TauClassification(Record):
     """Per-tau-edge labels plus the per-state stabilization distance k.
 
     An edge is state-preserving iff its endpoints share a weak block; k is the
@@ -780,8 +790,11 @@ class TauClassification:
     weak block (finite on complete finite graphs; None encodes unbounded).
     """
 
-    edge_labels: dict  # (src, dst) -> 'state-preserving' | 'state-changing'
-    k: tuple
+    _fields = ("edge_labels", "k")
+
+    def __init__(self, edge_labels: dict, k: tuple):
+        self.edge_labels = edge_labels  # (src, dst) -> 'state-preserving' | 'state-changing'
+        self.k = k
 
     def to_json(self) -> dict:
         return {
@@ -835,17 +848,21 @@ def classify_tau(lts: Lts) -> TauClassification:
     return TauClassification(labels, tuple(k))
 
 
-@dataclass
-class CoincidenceReport:
+class CoincidenceReport(Record):
     """Pairwise comparison of the five relations on one complete graph."""
 
-    states: int
-    equal_weak_qs: bool
-    equal_weak_qsb: bool
-    equal_weak_branching: bool
-    strong_in_qs: bool
-    qs_in_weak: bool
-    violations: list
+    _fields = ("states", "equal_weak_qs", "equal_weak_qsb", "equal_weak_branching", "strong_in_qs", "qs_in_weak",
+               "violations")
+
+    def __init__(self, states: int, equal_weak_qs: bool, equal_weak_qsb: bool, equal_weak_branching: bool,
+                 strong_in_qs: bool, qs_in_weak: bool, violations: list):
+        self.states = states
+        self.equal_weak_qs = equal_weak_qs
+        self.equal_weak_qsb = equal_weak_qsb
+        self.equal_weak_branching = equal_weak_branching
+        self.strong_in_qs = strong_in_qs
+        self.qs_in_weak = qs_in_weak
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -17,13 +17,12 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from . import equivalence, semantics
 from .equivalence import AttackerTrace, extract_trace
 from .semantics import Action, Lts, SilentClosures, silent_run
-from .syntax import Term, canonicalize, parse, render
+from .syntax import Record, Term, canonicalize, parse, render
 
 
 class ReplayError(AssertionError):
@@ -34,18 +33,17 @@ class ReplayError(AssertionError):
 # Certificates
 
 
-@dataclass
-class Certificate:
-    pairs: tuple  # ((Term, Term), ...), canonicalized
-    discipline: str = "upto-context"  # 'plain' | 'upto-context'
-    closure_budget: int = 256
+class Certificate(Record):
+    _fields = ("pairs", "discipline", "closure_budget")
 
-    def __post_init__(self):
-        if self.discipline not in ("plain", "upto-context"):
-            raise ValueError(f"unknown discipline {self.discipline!r}")
-        if self.closure_budget < 1:
+    def __init__(self, pairs: tuple, discipline: str = "upto-context", closure_budget: int = 256):
+        if discipline not in ("plain", "upto-context"):
+            raise ValueError(f"unknown discipline {discipline!r}")
+        if closure_budget < 1:
             raise ValueError("closure budget must be positive")
-        self.pairs = tuple((canonicalize(p), canonicalize(q)) for p, q in self.pairs)
+        self.pairs = tuple((canonicalize(p), canonicalize(q)) for p, q in pairs)  # ((Term, Term), ...)
+        self.discipline = discipline  # 'plain' | 'upto-context'
+        self.closure_budget = closure_budget
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
@@ -69,15 +67,18 @@ class Certificate:
         }
 
 
-@dataclass
-class Obligation:
-    pair: tuple
-    direction: str  # which side fired the challenge
-    action: Action
-    derivative: Term
-    answer: Optional[Term]
-    context: Optional[Term]  # the stripped parallel part; None means [.]
-    via: str  # 'equal' | 'pair'
+class Obligation(Record):
+    _fields = ("pair", "direction", "action", "derivative", "answer", "context", "via")
+
+    def __init__(self, pair: tuple, direction: str, action: Action, derivative: Term, answer: Optional[Term],
+                 context: Optional[Term], via: str):
+        self.pair = pair
+        self.direction = direction  # which side fired the challenge
+        self.action = action
+        self.derivative = derivative
+        self.answer = answer
+        self.context = context  # the stripped parallel part; None means [.]
+        self.via = via  # 'equal' | 'pair'
 
     def to_json(self) -> dict:
         ctx = "[.]" if self.context is None else render(self.context, compact=True) + " | [.]"
@@ -92,11 +93,13 @@ class Obligation:
         }
 
 
-@dataclass
-class CertResult:
-    outcome: str  # 'certified' | 'refuted' | 'budget-exhausted'
-    obligations: list
-    failure: Optional[dict] = None
+class CertResult(Record):
+    _fields = ("outcome", "obligations", "failure")
+
+    def __init__(self, outcome: str, obligations: list, failure: Optional[dict] = None):
+        self.outcome = outcome  # 'certified' | 'refuted' | 'budget-exhausted'
+        self.obligations = obligations
+        self.failure = failure
 
     def to_json(self) -> dict:
         out = {
@@ -220,25 +223,30 @@ def check_certificate(cert: Certificate) -> CertResult:
 # Modal distinguishing formulas (diamond, conjunction, negation)
 
 
-@dataclass(frozen=True)
-class TrueF:
+class TrueF(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class DiamondF:
-    action: Action
-    sub: object
+class DiamondF(Record, frozen=True):
+    _fields = ("action", "sub")
+
+    def __init__(self, action: Action, sub: object):
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class AndF:
-    subs: tuple
+class AndF(Record, frozen=True):
+    _fields = ("subs",)
+
+    def __init__(self, subs: tuple):
+        object.__setattr__(self, "subs", subs)
 
 
-@dataclass(frozen=True)
-class NotF:
-    sub: object
+class NotF(Record, frozen=True):
+    _fields = ("sub",)
+
+    def __init__(self, sub: object):
+        object.__setattr__(self, "sub", sub)
 
 
 def formula_str(f) -> str:
@@ -301,10 +309,12 @@ def distinguishing_formula(lts: Lts, s: int, t: int):
 # Distinguishing evidence
 
 
-@dataclass
-class Evidence:
-    trace: AttackerTrace
-    formula: object = None
+class Evidence(Record):
+    _fields = ("trace", "formula")
+
+    def __init__(self, trace: AttackerTrace, formula: object = None):
+        self.trace = trace
+        self.formula = formula
 
     def to_json(self) -> dict:
         out = {"trace": self.trace.to_json()}

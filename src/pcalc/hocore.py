@@ -12,7 +12,6 @@ refutation or `unknown`, naming the depth and `tau_bound` that cut the game.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .equivalence import AttackerTrace, TraceStep, Verdict, _Game, _game_tau_bound
@@ -24,6 +23,7 @@ from .syntax import (
     HoOutput,
     Nil,
     Par,
+    Record,
     Repl,
     Term,
     Var,
@@ -149,11 +149,13 @@ def expand_replications(term: Term) -> Term:
 # Test families
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record, frozen=True):
     """A term with hole occurrences, encoded as free occurrences of X."""
 
-    term: Term
+    _fields = ("term",)
+
+    def __init__(self, term: Term):
+        object.__setattr__(self, "term", term)
 
     def apply(self, a: Term) -> Term:
         return ho_subst(self.term, "X", a)
@@ -162,8 +164,7 @@ class Context:
         return render(_subst(self.term, "X", Var("[.]")), compact=True)
 
 
-@dataclass
-class TestFamilies:
+class TestFamilies(Record):
     """Finite stand-ins for the quantifiers of the context-bisimulation game.
 
     inputs instantiate received payloads; contexts close the output clause.
@@ -172,9 +173,11 @@ class TestFamilies:
     """
 
     __test__ = False  # not a pytest class
+    _fields = ("inputs", "contexts")
 
-    inputs: tuple
-    contexts: tuple
+    def __init__(self, inputs: tuple, contexts: tuple):
+        self.inputs = inputs
+        self.contexts = contexts
 
     @staticmethod
     def default(p: Term, q: Term) -> "TestFamilies":
@@ -264,20 +267,24 @@ def _ho_moves(p: Term, fam: TestFamilies, moves: set):
 # Bounded context-bisimulation game
 
 
-@dataclass
-class HoVerdict:
+class HoVerdict(Record):
     """A context game's verdict. It renders as a `Verdict` with an
     `AttackerTrace`, plus the test families it used; its own trace lists
     the steps before the final challenge."""
 
-    outcome: str  # 'inequivalent' | 'unknown'
-    kind: str  # 'context-strong' | 'context-weak'
-    trace: Optional[list] = None
-    families: TestFamilies = None
-    start: tuple = ()
-    final: tuple = ()  # (side, action) of the unanswered challenge
-    bound_report: Optional[dict] = None
-    stats: dict = field(default_factory=dict)
+    _fields = ("outcome", "kind", "trace", "families", "start", "final", "bound_report", "stats")
+
+    def __init__(self, outcome: str, kind: str, trace: Optional[list] = None, families: TestFamilies = None,
+                 start: tuple = (), final: tuple = (), bound_report: Optional[dict] = None,
+                 stats: Optional[dict] = None):
+        self.outcome = outcome  # 'inequivalent' | 'unknown'
+        self.kind = kind  # 'context-strong' | 'context-weak'
+        self.trace = trace
+        self.families = families
+        self.start = start
+        self.final = final  # (side, action) of the unanswered challenge
+        self.bound_report = bound_report
+        self.stats = {} if stats is None else stats
 
     def to_json(self) -> dict:
         trace = None

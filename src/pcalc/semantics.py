@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax
@@ -30,6 +29,7 @@ from .syntax import (
     Nil,
     OutputPrefix,
     Par,
+    Record,
     Repl,
     Term,
     canonical_par,
@@ -49,20 +49,20 @@ class TruncatedInput(ValueError):
     """An analysis that needs a complete graph got a truncated one."""
 
 
-@dataclass(frozen=True)
-class Action:
-    """A move's label in either calculus. A higher-order input or output also
-    carries the process it receives or sends (`payload`); a first-order
-    action has none."""
+class Action(Record, frozen=True):
+    """A move's label in either calculus: its kind, 'tau', 'in' or 'out', and
+    channel name. A higher-order input or output also carries the process it
+    receives or sends (`payload`); a first-order action has none."""
 
-    kind: str  # 'tau' | 'in' | 'out'
-    name: str = ""
-    payload: Optional[Term] = None
+    _fields = ("kind", "name", "payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((self.kind, self.name, self.payload)))
-        key = ({"tau": 0, "in": 1, "out": 2}[self.kind], self.name)
-        object.__setattr__(self, "_sk", key if self.payload is None else key + (term_key(self.payload),))
+    def __init__(self, kind: str, name: str = "", payload: Optional[Term] = None):
+        key = ({"tau": 0, "in": 1, "out": 2}[kind], name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "_h", hash((kind, name, payload)))
+        object.__setattr__(self, "_sk", key if payload is None else key + (term_key(payload),))
 
     def __hash__(self):
         return self._h
@@ -101,14 +101,14 @@ class Action:
 TAU = Action("tau")
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_states: int = 2000
-    max_depth: int = 64
+class Bounds(Record, frozen=True):
+    _fields = ("max_states", "max_depth")
 
-    def __post_init__(self):
-        if self.max_states < 1 or self.max_depth < 1:
+    def __init__(self, max_states: int = 2000, max_depth: int = 64):
+        if max_states < 1 or max_depth < 1:
             raise ValueError("bounds must be at least 1")
+        object.__setattr__(self, "max_states", max_states)
+        object.__setattr__(self, "max_depth", max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,8 @@ class _Parts:
         self.part_moves = [None] * len(self.parts)
         for q, ms in stepped.items():
             self.part_moves[self.id[q]] = [(aid[a], self.key(t)) for a, t in ms]
+        # per part, its silent moves (action id 0)
+        self.part_taus = [ms and [m for m in ms if not m[0]] for ms in self.part_moves]
         # per part, its communications as the input side: (output part, both derivatives' ids). Only
         # distinct parts talk: two copies of a replication reach by talking what one reaches alone.
         steps = [(q, a, d) for q, ms in enumerate(self.part_moves) for a, d in ms or ()]
@@ -249,16 +251,18 @@ class _Parts:
             return self.parts[t[0]]
         return interned(Par(tuple(self.parts[i] for i in t))) if t else NIL
 
-    def moves(self, state: tuple) -> set:
+    def moves(self, state: tuple, silent: bool = False) -> set:
         """The moves of the parallel composition of state's parts:
-        interleaving and communication. Equal parts step alike, so each
-        distinct part steps once, from the state less that part."""
+        interleaving and communication; with `silent`, its silent moves only.
+        Equal parts step alike, so each distinct part steps once, from the
+        state less that part."""
         out, prev = set(), None
+        own = self.part_taus if silent else self.part_moves
         for i, q in enumerate(state):
             if q == prev:  # equal parts sit side by side
                 continue
             prev, rest = q, state[:i] + state[i + 1 :]
-            for a, d in self.part_moves[q]:
+            for a, d in own[q]:
                 out.add((a, tuple(sorted(rest + d)) if d else rest))
             for q_o, d in self.comms[q]:
                 if q_o in rest:
@@ -470,8 +474,7 @@ class _States:
 # from the SCCs one silent step leaves it for.
 
 
-@dataclass(frozen=True)
-class SilentSccs:
+class SilentSccs(Record, frozen=True):
     """The SCCs of a graph's silent steps, numbered sinks first: a silent step
     out of SCC c enters an SCC numbered below c.
 
@@ -481,10 +484,13 @@ class SilentSccs:
     ascending.
     """
 
-    of: tuple
-    members: tuple
-    cyclic: tuple
-    exits: tuple
+    _fields = ("of", "members", "cyclic", "exits")
+
+    def __init__(self, of: tuple, members: tuple, cyclic: tuple, exits: tuple):
+        object.__setattr__(self, "of", of)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "cyclic", cyclic)
+        object.__setattr__(self, "exits", exits)
 
 
 def _silent_sccs(lts: Lts) -> SilentSccs:
@@ -586,7 +592,7 @@ def silent_run(parts: _Parts, state: tuple, memo: dict) -> str:
             if cost > _SILENT_RUN_CAP:
                 return DIV_UNKNOWN
             path.append(t)
-            work.append(iter([u for a, u in parts.moves(t) if a == 0]))
+            work.append(iter([u for _a, u in parts.moves(t, silent=True)]))
             break
         else:
             work.pop()

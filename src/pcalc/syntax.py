@@ -9,7 +9,6 @@ binders to position-determined names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -29,105 +28,158 @@ class DialectMismatch(TypeError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """Base of the record and term classes. `_fields` names the constructor's
+    arguments in order. Two records are equal when they are of one class and
+    their fields agree, those in `_uncompared` aside; the repr reads
+    `Name(field=value, ...)` over the fields not in `_unrepr`.
+
+    A subclass declared with `frozen=True` rejects assignment, so its
+    `__init__` sets its fields with `object.__setattr__`, and hashes its
+    compared fields unless it defines `__hash__`. Any other subclass is
+    mutable and unhashable.
+    """
+
+    _fields = ()
+    _uncompared = ()
+    _unrepr = ()
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        # the compared fields' values, or the one field's value alone; a class
+        # without fields reads its class, which __eq__ has already matched
+        cls._key = attrgetter(*cls._compared or ("__class__",))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _reject_assignment
+            if cls.__hash__ is None:
+                cls.__hash__ = _hash_fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._unrepr)
+        return f"{type(self).__qualname__}({shown})"
+
+
+def _hash_fields(self):
+    return hash(tuple([getattr(self, f) for f in self._compared]))
+
+
+def _reject_assignment(self, name, value=None):
+    raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Abstract syntax
 #
 # Each node caches, at construction and from its children's caches, its hash
 # (`_h`) and whether a variable node occurs in it (`_hv`).
 
 _HAS_VAR = attrgetter("_hv")
+# sets a frozen node's attribute; unlike writes through `__dict__`, it keeps
+# the instance's attributes in the compact per-class layout
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Nil:
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Nil",)))
-        object.__setattr__(self, "_hv", False)
+class _Node(Record, frozen=True):
+    def __hash__(self):
+        return self._h  # cached at construction
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Var", self.name)))
-        object.__setattr__(self, "_hv", True)
+class Nil(_Node):
+    def __init__(self):
+        _set(self, "_h", hash(("Nil",)))
+        _set(self, "_hv", False)
 
 
-@dataclass(frozen=True)
-class InputPrefix:
-    name: str
-    cont: "Term"
+class Var(_Node):
+    _fields = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("In", self.name, self.cont)))
-        object.__setattr__(self, "_hv", self.cont._hv)
-
-
-@dataclass(frozen=True)
-class OutputPrefix:
-    name: str
-    cont: "Term"
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Out", self.name, self.cont)))
-        object.__setattr__(self, "_hv", self.cont._hv)
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_h", hash(("Var", name)))
+        _set(self, "_hv", True)
 
 
-@dataclass(frozen=True)
-class Repl:
-    body: "Term"
+class InputPrefix(_Node):
+    _fields = ("name", "cont")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Repl", self.body)))
-        object.__setattr__(self, "_hv", self.body._hv)
-
-
-@dataclass(frozen=True)
-class Par:
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("Par",) + self.parts))
-        object.__setattr__(self, "_hv", any(map(_HAS_VAR, self.parts)))
+    def __init__(self, name: str, cont: Term):
+        _set(self, "name", name)
+        _set(self, "cont", cont)
+        _set(self, "_h", hash(("In", name, cont)))
+        _set(self, "_hv", cont._hv)
 
 
-@dataclass(frozen=True)
-class HoInput:
-    channel: str
-    var: str
-    body: "Term"
+class OutputPrefix(_Node):
+    _fields = ("name", "cont")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("HoIn", self.channel, self.var, self.body)))
-        object.__setattr__(self, "_hv", self.body._hv)
-
-
-@dataclass(frozen=True)
-class HoOutput:
-    channel: str
-    message: "Term"
-    cont: "Term"
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("HoOut", self.channel, self.message, self.cont)))
-        object.__setattr__(self, "_hv", self.message._hv or self.cont._hv)
+    def __init__(self, name: str, cont: Term):
+        _set(self, "name", name)
+        _set(self, "cont", cont)
+        _set(self, "_h", hash(("Out", name, cont)))
+        _set(self, "_hv", cont._hv)
 
 
-@dataclass(frozen=True)
-class GuardedRepl:
+class Repl(_Node):
+    _fields = ("body",)
+
+    def __init__(self, body: Term):
+        _set(self, "body", body)
+        _set(self, "_h", hash(("Repl", body)))
+        _set(self, "_hv", body._hv)
+
+
+class Par(_Node):
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)
+        _set(self, "_h", hash(("Par",) + parts))
+        _set(self, "_hv", any(map(_HAS_VAR, parts)))
+
+
+class HoInput(_Node):
+    _fields = ("channel", "var", "body")
+
+    def __init__(self, channel: str, var: str, body: Term):
+        _set(self, "channel", channel)
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_h", hash(("HoIn", channel, var, body)))
+        _set(self, "_hv", body._hv)
+
+
+class HoOutput(_Node):
+    _fields = ("channel", "message", "cont")
+
+    def __init__(self, channel: str, message: Term, cont: Term):
+        _set(self, "channel", channel)
+        _set(self, "message", message)
+        _set(self, "cont", cont)
+        _set(self, "_h", hash(("HoOut", channel, message, cont)))
+        _set(self, "_hv", message._hv or cont._hv)
+
+
+class GuardedRepl(_Node):
     """Transient parse node for the guarded-replication macro; never canonical."""
 
-    prefix: "Term"
+    _fields = ("prefix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("GRepl", self.prefix)))
-        object.__setattr__(self, "_hv", self.prefix._hv)
+    def __init__(self, prefix: Term):
+        _set(self, "prefix", prefix)
+        _set(self, "_h", hash(("GRepl", prefix)))
+        _set(self, "_hv", prefix._hv)
 
 
 Term = Union[Nil, Var, InputPrefix, OutputPrefix, Repl, Par, HoInput, HoOutput]
-
-for _cls in (Nil, Var, InputPrefix, OutputPrefix, Repl, Par, HoInput, HoOutput, GuardedRepl):
-    _cls.__hash__ = lambda self: self._h  # hash cached at construction
 
 NIL = Nil()
 

@@ -225,6 +225,15 @@ def test_certify_command(tmp_path, capsys):
     assert run(["certify", "--relation", bad]) == 1
 
 
+def test_certify_budget_overrides_the_file(tmp_path, capsys):
+    cert = {"discipline": "upto-context", "budget": 64, "pairs": [["!(a | 'a)", "a | 'a | !(a | 'a)"]]}
+    path = write(tmp_path, "cert.json", json.dumps(cert))
+    assert run(["certify", "--relation", path]) == 0
+    assert capsys.readouterr().out == "certified\n"
+    assert run(["certify", "--relation", path, "--budget", "1"]) == 2
+    assert capsys.readouterr().out == "budget-exhausted\n"
+
+
 @pytest.mark.parametrize("command", ["lts", "diverges", "tau-classify"])
 @pytest.mark.parametrize("text", ["a(X).X\n", "a.0\n---\n'a.0\n"], ids=["higher-order", "pair"])
 def test_graph_commands_take_one_first_order_term(tmp_path, capsys, command, text):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from test_refinement import W1, W1_TAU, W4_FAMILY, _random_graphs, old_strong_history
@@ -22,6 +21,10 @@ from pcalc.evidence import (
 )
 from pcalc.semantics import Action, Bounds, build_lts, step, union_lts
 from pcalc.syntax import Par, canonicalize, parse
+
+
+def replace(obj, **changes):
+    return type(obj)(**{f: changes.get(f, getattr(obj, f)) for f in obj._fields})
 
 
 def tau_derivatives(text):

@@ -218,13 +218,13 @@ def test_exploration_builds_one_parallel_term_per_state(monkeypatch):
     right = "wa.wb.'wc.wd | wa.'wd | wc.'wc | 'wa.wd | 'wa.'wb.wc.'wd | !we | !'we"
     roots = [canonicalize(parse(left)), canonicalize(parse(right))]
     built = [0]
-    post_init = Par.__post_init__
+    init = Par.__init__
 
-    def counting(self):
+    def counting(self, parts):
         built[0] += 1
-        post_init(self)
+        init(self, parts)
 
-    monkeypatch.setattr(Par, "__post_init__", counting)
+    monkeypatch.setattr(Par, "__init__", counting)
     lts = semantics.union_lts(roots, Bounds(20000, 64))
     assert (lts.num_states(), len(lts.edges)) == (1083, 8098)
     assert built[0] == 0  # states are explored as part-id tuples, and no state is read yet
