@@ -510,6 +510,11 @@ class _Game:
     moves over action ids, with `_respond` for the game's `kind`. Responses
     are memoised per (defender, action), challenges per position, and
     `safe` across deepening budgets. Positions are oriented (left, right).
+
+    The memo tables hold references, not copies: equal response elements
+    are one object per game, each state's challenges on each side are built
+    once and shared by every position that holds the state, and `safe` and
+    the challenge memo share each position's key.
     """
 
     answer = staticmethod(_answer)
@@ -519,7 +524,9 @@ class _Game:
         self.closures, self.step = closures, closures.step
         self.safe = {}  # position -> a budget within which it has no refutation
         self._responses = {}
+        self._elements = {}  # each response element, to itself
         self._challenges = {}
+        self._sides = {"left": {}, "right": {}}  # side -> state -> its challenges on that side
         self.positions = self.memo_hits = self.closures_cut = 0
 
     def respond(self, defn, action):
@@ -531,17 +538,27 @@ class _Game:
         if out is None:
             out, cut = self.respond(defn, action)
             self.closures_cut += cut
-            self._responses[key] = out
+            shared = self._elements.setdefault
+            out = self._responses[key] = tuple([shared(e, e) for e in out])
         return out
 
-    def challenges(self, l, r):
-        """Attacker moves (side, action, derivative) in (action, side, derivative) order."""
-        out = self._challenges.get((l, r))
+    def _side(self, side, state):
+        """state's challenges on side, (side, action, derivative) in step order."""
+        table = self._sides[side]
+        out = table.get(state)
         if out is None:
+            out = table[state] = tuple([(side, a, d) for a, d in self.step(state)])
+        return out
+
+    def challenges(self, pos):
+        """Attacker moves (side, action, derivative) at the position (l, r), in
+        (action, side, derivative) order."""
+        out = self._challenges.get(pos)
+        if out is None:
+            l, r = pos
             # step lists moves in (action, derivative) order; the sort is stable
-            out = [("left", a, d) for a, d in self.step(l)] + [("right", a, d) for a, d in self.step(r)]
-            out.sort(key=self.challenge_order)
-            self._challenges[(l, r)] = out
+            moves = self._side("left", l) + self._side("right", r)
+            out = self._challenges[pos] = tuple(sorted(moves, key=self.challenge_order))
         return out
 
     def attack(self, l, r, budget):
@@ -556,12 +573,14 @@ class _Game:
         """
         if l == r or budget <= 0:
             return None
-        if self.safe.get((l, r), -1) >= budget:
+        safe, pos = self.safe, (l, r)
+        # every position is safe within budget 0; entered on the first visit,
+        # pos is the key that `safe` and the challenge memo share
+        if safe.setdefault(pos, 0) >= budget:
             self.memo_hits += 1
             return None
         self.positions += 1
-        safe = self.safe
-        for side, action, deriv in self.challenges(l, r):
+        for side, action, deriv in self.challenges(pos):
             chal, defn = (l, r) if side == "left" else (r, l)
             responses = self.responses(defn, action)
             if not responses:
@@ -589,7 +608,7 @@ class _Game:
                 # show the defender answer whose refutation is longest
                 cont, label, tail = max(per_answer, key=lambda c: len(c[2]))
                 return [(side, action, cont, label)] + tail
-        self.safe[(l, r)] = budget
+        safe[pos] = budget
         return None
 
     def play(self, p, q, depth):
@@ -740,7 +759,7 @@ def extract_trace(lts: Lts, kind: str, start) -> AttackerTrace:
     steps, reason, final = [], "divergence-mismatch", ("", None)
     pair, bound = start, game.rank(start)
     while bound > 0:
-        for side, action, deriv in game.challenges(*pair):
+        for side, action, deriv in game.challenges(pair):
             chal, defn = pair if side == "left" else pair[::-1]
             answers = tuple(
                 tuple(c if side == "left" else c[::-1] for c, _rolled in game.answer(response, chal, action, deriv))

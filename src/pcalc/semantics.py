@@ -649,7 +649,8 @@ class SilentClosures(dict):
                 if matches(a):
                     after, done = self[mid].states()
                     complete = complete and done
-                    out.update(dict.fromkeys([(a, t) for t in after]))
+                    for t in after:
+                        out[a, t] = None  # a key seen before keeps its place
         return tuple(out), complete
 
 

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import memory
 import sweep
 from oracles import SWEEP_BOUNDS, sweep_pairs
 from pcalc import equivalence
@@ -356,6 +357,32 @@ def test_growth_pair_game_tables_are_keyed_by_ints():
     for table in (game.safe, game._responses, game._challenges):
         assert table
         assert all(type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key) for key in table)
+
+
+def test_growth_pair_game_tables_share_their_entries():
+    # the memo tables hold references: a state's challenges on a side are
+    # built once for every position that holds it, equal response elements
+    # are one object, and `safe` keys each position with the challenge
+    # memo's key
+    p, q = parse("!c.d | !'c | d"), parse("!c.d | !'c | !c")
+    game = equivalence._OnTheFly("weak", 7, (p, q))
+    assert game.play(game.state(p), game.state(q), 7)[0] is None
+    by_left = {}
+    for (l, _r), challenges in game._challenges.items():
+        by_left.setdefault(l, []).append([c for c in challenges if c[0] == "left"])
+    assert any(len(held) > 1 for held in by_left.values())
+    for held in by_left.values():
+        assert all(len(h) == len(held[0]) and all(x is y for x, y in zip(h, held[0])) for h in held)
+    elements = [e for out in game._responses.values() for e in out]
+    assert len({id(e) for e in elements}) == len(set(elements)) < len(elements)
+    keys = {id(key) for key in game._challenges}
+    assert game.safe and all(id(key) in keys for key in game.safe)
+
+
+def test_growth_pair_weak_game_retains_under_two_mib():
+    # tests/memory.py: 3.09 MiB traced when every position kept its own
+    # copies of its challenges, responses and key; 1.15 MiB shared
+    assert memory.growth_game_retained("weak") < 2.0
 
 
 def test_closures_cut_counts_bounded_defender_closures():
